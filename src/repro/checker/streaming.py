@@ -89,6 +89,9 @@ from ..engine.trace import (
 from .history import OracleViolation
 from .window import ReorderBuffer, RetirementClock
 
+#: An action's position in the universal tree (``ActionName.path``).
+Path = Tuple[Any, ...]
+
 #: Violation kinds a streaming report may carry.
 VERSION = "version-incompatibility"
 CYCLE = "serialization-cycle"
@@ -164,7 +167,7 @@ class _Access:
 
     def __init__(self, access, top, obj, kind, seen, arg, seq):
         self.access = access
-        self.top = top
+        self.top = top  # the owning _TopTxn
         self.obj = obj
         self.kind = kind
         self.seen = seen
@@ -174,19 +177,20 @@ class _Access:
 
 
 class _TopTxn:
-    """Window state of one top-level transaction."""
+    """Window state of one top-level transaction.  Instances are the
+    keys of the conflict graph and the retirement clock (by identity),
+    so a reused top-level label never aliases an earlier incarnation."""
 
-    __slots__ = ("name", "begin_seq", "status", "resolve_seq", "nested",
-                 "accesses", "objects", "snapshot_horizon",
-                 "snapshot_failures")
+    __slots__ = ("name", "status", "resolve_seq", "nested", "accesses",
+                 "objects", "snapshot_horizon", "snapshot_failures")
 
-    def __init__(self, name: ActionName, begin_seq: int) -> None:
+    def __init__(self, name: ActionName) -> None:
         self.name = name
-        self.begin_seq = begin_seq
         self.status = ACTIVE
         self.resolve_seq: Optional[int] = None
-        #: Statuses of this top's nested (depth >= 2) transactions.
-        self.nested: Dict[ActionName, str] = {}
+        #: Statuses of this top's nested (depth >= 2) transactions, keyed
+        #: by path tuple.
+        self.nested: Dict[Path, str] = {}
         self.accesses: List[_Access] = []
         self.objects: Set[str] = set()
         #: Horizon stamp of a snapshot (read-only) transaction, else None.
@@ -202,10 +206,14 @@ class StreamingCertifier:
     ``initial`` is the a-priori value assignment replay starts from (for
     a recovered engine: the recovered values, exactly as the offline
     oracle uses ``db.initial_values``).  Feed it :class:`TraceRecord`
-    instances (:meth:`feed`) or their JSONL dict form (:meth:`feed_dict`);
-    read ``violations`` at any time, and call :meth:`finish` at end of
-    stream for the final report (unresolved transactions are then treated
-    as non-permanent, matching ``perm(T)``).
+    instances (:meth:`feed` / :meth:`feed_many`) or their JSONL dict form
+    (:meth:`feed_dict`); read ``violations`` at any time, and call
+    :meth:`finish` at end of stream for the final report (unresolved
+    transactions are then treated as non-permanent, matching ``perm(T)``).
+
+    The per-record and per-resolution paths work on the names' path
+    tuples only — no :class:`ActionName` is constructed or interned
+    while certifying; names are built for a :class:`Violation` alone.
     """
 
     def __init__(self, initial: Mapping[str, Any]) -> None:
@@ -221,18 +229,20 @@ class StreamingCertifier:
         }
         self._committed_stamp = 0
         #: Horizons of still-active snapshot transactions (prune floor).
-        self._active_horizons: Dict[ActionName, int] = {}
+        self._active_horizons: Dict[_TopTxn, int] = {}
         self._reorder: ReorderBuffer[TraceRecord] = ReorderBuffer()
         self._clock = RetirementClock()
         self._seq_clock = -1  # last ingested seq (arrival-ordered fallback)
-        self._tops: Dict[ActionName, _TopTxn] = {}
+        #: Unretired tops by top-level label (``name.path[0]``); evicted
+        #: at retirement, so a label reused later starts a fresh entry.
+        self._tops: Dict[Any, _TopTxn] = {}
         #: Per object: accesses whose fate is not yet known, data order.
         self._pending: Dict[str, Deque[_Access]] = {}
         #: Per object: permanent accesses of unretired transactions.
         self._applied: Dict[str, List[_Access]] = {}
         #: Rolling top-level conflict graph: a -> {b: edge witness}.
-        self._succ: Dict[ActionName, Dict[ActionName, Tuple]] = {}
-        self._pred: Dict[ActionName, Set[ActionName]] = {}
+        self._succ: Dict[_TopTxn, Dict[_TopTxn, Tuple]] = {}
+        self._pred: Dict[_TopTxn, Set[_TopTxn]] = {}
         self._violations: List[Violation] = []
         self._warned_objects: Set[str] = set()
         self._finished = False
@@ -268,6 +278,16 @@ class StreamingCertifier:
             for rec in self._reorder.push(record.seq, record):
                 self._ingest(rec)
 
+    def feed_many(self, records: Sequence[TraceRecord]) -> None:
+        """:meth:`feed` for a batch, under one crossing of the lock."""
+        with self._lock:
+            if self._finished:
+                raise RuntimeError("certifier already finished")
+            push = self._reorder.push
+            for record in records:
+                for rec in push(record.seq, record):
+                    self._ingest(rec)
+
     def feed_dict(self, data: Mapping[str, Any]) -> None:
         """Consume one JSONL-decoded trace record (the ``dump`` format of
         :class:`~repro.engine.trace.TraceRecorder`)."""
@@ -281,10 +301,10 @@ class StreamingCertifier:
             if not self._finished:
                 for rec in self._reorder.drain():
                     self._ingest(rec)
-                for name in [
-                    t.name for t in self._tops.values() if t.status == ACTIVE
+                for top in [
+                    t for t in self._tops.values() if t.status == ACTIVE
                 ]:
-                    self._resolve_top(self._tops[name], _UNRESOLVED, None)
+                    self._resolve_top(top, _UNRESOLVED, None)
                 self._retire()
                 self._finished = True
             return self._report_locked()
@@ -324,6 +344,7 @@ class StreamingCertifier:
                 "graph_edges": self._edge_count,
                 "max_graph_edges": self.max_graph_edges,
                 "retired_tops": self._clock.retired,
+                "reorder_buffered": len(self._reorder),
                 "reorder_high_water": self._reorder.buffered_high_water,
             },
         )
@@ -333,37 +354,43 @@ class StreamingCertifier:
 
     def _ingest(self, rec: TraceRecord) -> None:
         self.records += 1
-        if rec.seq is not None and rec.seq > self._seq_clock:
-            self._seq_clock = rec.seq
+        seq = rec.seq
+        if seq is not None and seq > self._seq_clock:
+            self._seq_clock = seq
         else:
             self._seq_clock += 1
-        now = self._seq_clock
-        if rec.op == CREATE:
-            self._ingest_create(rec, now)
-        elif rec.op == PERFORM:
-            self._ingest_perform(rec, now)
-        elif rec.op in (COMMIT, ABORT):
-            status = COMMITTED if rec.op == COMMIT else ABORTED
-            self._ingest_resolution(rec, status, now)
+        op = rec.op
+        if op == PERFORM:
+            self._ingest_perform(rec)
+        elif op == CREATE:
+            self._ingest_create(rec, self._seq_clock)
+        elif op == COMMIT:
+            self._ingest_resolution(rec, COMMITTED, self._seq_clock)
+        elif op == ABORT:
+            self._ingest_resolution(rec, ABORTED, self._seq_clock)
         else:
             self._flag(Violation(
-                PROTOCOL, "unknown trace op %r" % (rec.op,), seq=rec.seq,
+                PROTOCOL, "unknown trace op %r" % (op,), seq=seq,
             ))
-        if len(self._tops) > self.max_live_tops:
-            self.max_live_tops = len(self._tops)
-
-    def _top_of(self, txn: ActionName) -> Optional[_TopTxn]:
-        if txn.depth < 1:
-            return None
-        return self._tops.get(txn.ancestor_at_depth(1))
 
     def _ingest_create(self, rec: TraceRecord, now: int) -> None:
         name = rec.txn
-        if name.depth == 0:
+        path = name.path
+        if not path:
             self._flag(Violation(PROTOCOL, "create of U", seq=rec.seq))
             return
-        if name.depth == 1:
-            top = _TopTxn(name, now)
+        top = self._tops.get(path[0])
+        if len(path) == 1:
+            if top is not None and top.status == ACTIVE:
+                # Replacing it would strand its accesses at the head of
+                # their FIFOs and pin the retirement watermark forever.
+                self._flag(Violation(
+                    PROTOCOL,
+                    "create of already-active transaction %r" % (name,),
+                    seq=rec.seq, txns=(name,),
+                ))
+                return
+            top = _TopTxn(name)
             if rec.kind == "snapshot":
                 horizon = (
                     rec.arg
@@ -371,47 +398,49 @@ class StreamingCertifier:
                     else self._committed_stamp
                 )
                 top.snapshot_horizon = horizon
-                self._active_horizons[name] = horizon
-            self._tops[name] = top
-            self._clock.begin(name, now)
-            return
-        top = self._top_of(name)
-        if top is None:
+                self._active_horizons[top] = horizon
+            self._tops[path[0]] = top
+            self._clock.begin(top, now)
+            if len(self._tops) > self.max_live_tops:
+                self.max_live_tops = len(self._tops)
+        elif top is None:
             self._flag(Violation(
                 PROTOCOL,
                 "create of %r under unknown top-level transaction" % (name,),
                 seq=rec.seq, txns=(name,),
             ))
-            return
-        top.nested[name] = ACTIVE
+        else:
+            top.nested[path] = ACTIVE
 
-    def _ingest_perform(self, rec: TraceRecord, now: int) -> None:
-        top = self._top_of(rec.txn)
-        if top is None or rec.access is None or rec.obj is None:
+    def _ingest_perform(self, rec: TraceRecord) -> None:
+        path = rec.txn.path
+        top = self._tops.get(path[0]) if path else None
+        obj = rec.obj
+        if top is None or rec.access is None or obj is None:
             self._flag(Violation(
                 PROTOCOL,
                 "perform %r on %r outside any known top-level transaction"
-                % (rec.access, rec.obj),
-                seq=rec.seq, obj=rec.obj,
-                txns=(rec.txn,) if rec.txn is not None else (),
+                % (rec.access, obj),
+                seq=rec.seq, obj=obj, txns=(rec.txn,),
             ))
             return
         acc = _Access(
-            rec.access, top.name, rec.obj, rec.kind, rec.seen, rec.arg, rec.seq
+            rec.access, top, obj, rec.kind, rec.seen, rec.arg, rec.seq
         )
-        if top.snapshot_horizon is not None:
-            self._ingest_snapshot_perform(top, acc, rec)
-            return
         top.accesses.append(acc)
-        top.objects.add(rec.obj)
-        self._pending.setdefault(rec.obj, deque()).append(acc)
+        if top.snapshot_horizon is not None:
+            self._check_snapshot_perform(top, acc)
+            return
+        top.objects.add(obj)
+        queue = self._pending.get(obj)
+        if queue is None:
+            queue = self._pending[obj] = deque()
+        queue.append(acc)
         self._pending_count += 1
         if self._pending_count > self.max_pending_accesses:
             self.max_pending_accesses = self._pending_count
 
-    def _ingest_snapshot_perform(
-        self, top: _TopTxn, acc: _Access, rec: TraceRecord
-    ) -> None:
+    def _check_snapshot_perform(self, top: _TopTxn, acc: _Access) -> None:
         """A snapshot transaction's access: validated eagerly against the
         stamped committed-state replay at the transaction's horizon —
         never routed through the per-object FIFO (unresolved writers
@@ -419,7 +448,6 @@ class StreamingCertifier:
         Every commit stamped <= the horizon has already ingested (its
         commit seq precedes the snapshot's begin seq), so the history
         lookup is complete."""
-        top.accesses.append(acc)
         if acc.kind != "read":
             self._flag(Violation(
                 PROTOCOL,
@@ -454,40 +482,32 @@ class StreamingCertifier:
 
     def _ingest_resolution(self, rec: TraceRecord, status: str, now: int) -> None:
         name = rec.txn
-        if name.depth == 0:
+        path = name.path
+        if not path:
             self._flag(Violation(PROTOCOL, "%s of U" % status, seq=rec.seq))
             return
-        if name.depth == 1:
-            top = self._tops.get(name)
-            if top is None:
-                self._flag(Violation(
-                    PROTOCOL,
-                    "%s of unknown top-level transaction %r" % (status, name),
-                    seq=rec.seq, txns=(name,),
-                ))
-                return
-            if top.status != ACTIVE:
-                self._flag(Violation(
-                    PROTOCOL,
-                    "%s of already-%s transaction %r" % (status, top.status, name),
-                    seq=rec.seq, txns=(name,),
-                ))
-                return
+        top = self._tops.get(path[0])
+        if top is None:
+            where = ("unknown top-level transaction %r" if len(path) == 1
+                     else "%r under unknown top-level transaction")
+            self._flag(Violation(
+                PROTOCOL, ("%s of " + where) % (status, name),
+                seq=rec.seq, txns=(name,),
+            ))
+        elif len(path) > 1:
+            top.nested[path] = status
+        elif top.status != ACTIVE:
+            self._flag(Violation(
+                PROTOCOL,
+                "%s of already-%s transaction %r" % (status, top.status, name),
+                seq=rec.seq, txns=(name,),
+            ))
+        else:
             self._resolve_top(
                 top, status, now,
                 stamp=rec.arg if status == COMMITTED else None,
             )
             self._retire()
-            return
-        top = self._top_of(name)
-        if top is None:
-            self._flag(Violation(
-                PROTOCOL,
-                "%s of %r under unknown top-level transaction" % (status, name),
-                seq=rec.seq, txns=(name,),
-            ))
-            return
-        top.nested[name] = status
 
     # -- fate resolution and the per-object replay -------------------------
 
@@ -503,66 +523,87 @@ class StreamingCertifier:
             self._seq_clock += 1
             now = self._seq_clock
         top.resolve_seq = now
-        committed = status == COMMITTED
-        for acc in top.accesses:
-            acc.fate = committed and self._is_permanent(top, acc)
         if top.snapshot_horizon is not None:
-            self._resolve_snapshot_top(top, committed)
+            self._resolve_snapshot_top(top, status == COMMITTED)
         else:
-            if committed:
-                self._check_internal_families(top)
-                self._apply_committed(top, stamp)
+            if status == COMMITTED:
+                self._settle_committed(top, stamp)
+            else:
+                for acc in top.accesses:
+                    acc.fate = False
             for obj in top.objects:
                 self._drain(obj)
-        self._clock.resolve(top.name, now)
+        self._clock.resolve(top, now)
 
-    def _resolve_snapshot_top(self, top: _TopTxn, committed: bool) -> None:
-        """A snapshot transaction resolved: emit its buffered misreads if
-        it committed (permanent accesses only — reads under aborted
-        subtransactions are not in ``perm(T)``), then release its horizon
-        so the committed history can prune past it."""
-        self._active_horizons.pop(top.name, None)
-        for acc in top.accesses:
-            if acc.fate:
-                self.permanent_accesses += 1
-            else:
-                self.dropped_accesses += 1
-        if committed:
-            for acc, expected in top.snapshot_failures:
-                if acc.fate:
-                    self._flag(Violation(
-                        VERSION,
-                        "snapshot read %r on %r saw %r, committed value "
-                        "at horizon %d is %r"
-                        % (acc.access, acc.obj, acc.seen,
-                           top.snapshot_horizon, expected),
-                        seq=acc.seq, obj=acc.obj,
-                        txns=(top.name,), accesses=(acc.access,),
-                    ))
+    def _settle_committed(self, top: _TopTxn, stamp: Optional[int]) -> None:
+        """The one pass over a committed top's accesses (seq order = data
+        order inside the top): decide each access's fate, advance the
+        stamped committed-state replay with the survivors (writes set,
+        increments add, so a materialized write overrides earlier deltas
+        exactly as the engine's version stacks did), and spot the only
+        shape that can make a sibling family cyclic.
 
-    def _apply_committed(self, top: _TopTxn, stamp: Optional[int]) -> None:
-        """Advance the stamped committed-state replay with a committed
-        top-level's permanent effects (writes set, increments add — in
-        data order, so materialized writes override earlier deltas exactly
-        as the engine's version stacks did).  ``stamp`` comes from the
-        commit record; traces predating stamped commits auto-stamp in
-        ingestion order, which equals stamp order (both are assigned
-        under the latch that serializes top-level commits)."""
+        *Fate.*  An access is permanent iff every transaction between the
+        top and the access (both exclusive) committed — ``visible_T(U)``
+        restricted to this subtree.  That is a property of the access's
+        owning transaction, so it is decided once per owner (memoised up
+        the chain), not once per access and depth.
+
+        *Families.*  Every conflict edge inside the top runs from an
+        earlier to a later permanent access, and lands in the family of
+        the pair's least common ancestor ``L`` as ``a -> b`` between the
+        children of ``L`` leading to each access.  Take the permanent
+        accesses under ``L`` in seq order, each labelled by its child of
+        ``L``: if every label forms one contiguous run (a leaf access
+        trivially does), ``a -> b`` implies run(a) wholly precedes run(b),
+        so ``L``'s edges embed in the order of the runs and the family is
+        acyclic without looking at a single pair.  A family can close a
+        cycle only if one of its children is *re-entered* — left for an
+        access outside it, then resumed.  ``closed`` holds the subtrees
+        the walk has left; resuming one marks its parent suspect, and only
+        suspect families pay for pair enumeration and cycle search
+        (:meth:`_check_families`).  Resuming a whole subtree also marks
+        families inside it whose own runs may be contiguous: a false
+        alarm costs a search, never a verdict.
+        """
         if stamp is None:
+            # Traces predating stamped commits auto-stamp in ingestion
+            # order, which equals stamp order (both are assigned under
+            # the latch that serializes top-level commits).
             stamp = self._committed_stamp + 1
         if stamp > self._committed_stamp:
             self._committed_stamp = stamp
-        changed: Set[str] = set()
+        nested = top.nested
         committed = self._committed
+        permanent: Dict[Path, bool] = {}
+        changed: Set[str] = set()
+        closed: Set[Path] = set()
+        suspects: Set[Path] = set()
+        owner: Optional[Path] = None  # owning transaction of the last access
+        walked: Optional[Path] = None  # ... of the last permanent access
+        fate = False
         for acc in top.accesses:
-            if not acc.fate or acc.obj not in committed:
-                continue
-            if acc.kind == "write":
-                committed[acc.obj] = acc.arg
-                changed.add(acc.obj)
-            elif acc.kind == "increment":
-                committed[acc.obj] = committed[acc.obj] + acc.arg
-                changed.add(acc.obj)
+            path = acc.access.path
+            if path[:-1] != owner:
+                owner = path[:-1]
+                fate = _permanent(nested, permanent, owner)
+                if fate and owner != walked:
+                    if walked is not None:
+                        shared = _shared_prefix(walked, owner)
+                        for end in range(shared + 1, len(walked) + 1):
+                            closed.add(walked[:end])
+                        for end in range(shared + 1, len(owner) + 1):
+                            if owner[:end] in closed:
+                                suspects.add(owner[:end - 1])
+                    walked = owner
+            acc.fate = fate
+            if fate and acc.obj in committed:
+                if acc.kind == "write":
+                    committed[acc.obj] = acc.arg
+                    changed.add(acc.obj)
+                elif acc.kind == "increment":
+                    committed[acc.obj] = committed[acc.obj] + acc.arg
+                    changed.add(acc.obj)
         if changed:
             floor = (
                 min(self._active_horizons.values())
@@ -574,17 +615,35 @@ class StreamingCertifier:
                 history.append((stamp, committed[obj]))
                 while len(history) >= 2 and history[1][0] <= floor:
                     del history[0]
+        if suspects:
+            self._check_families(top, suspects)
 
-    @staticmethod
-    def _is_permanent(top: _TopTxn, acc: _Access) -> bool:
-        """Permanence relative to a committed top: every transaction on
-        the chain between the top (exclusive) and the access (exclusive)
-        committed — ``visible_T(U)`` restricted to this subtree."""
-        access = acc.access
-        for depth in range(2, access.depth):
-            if top.nested.get(access.ancestor_at_depth(depth)) != COMMITTED:
-                return False
-        return True
+    def _resolve_snapshot_top(self, top: _TopTxn, committed: bool) -> None:
+        """A snapshot transaction resolved: emit its buffered misreads if
+        it committed (permanent accesses only — reads under aborted
+        subtransactions are not in ``perm(T)``), then release its horizon
+        so the committed history can prune past it."""
+        self._active_horizons.pop(top, None)
+        permanent: Dict[Path, bool] = {}
+        for acc in top.accesses:
+            acc.fate = committed and _permanent(
+                top.nested, permanent, acc.access.path[:-1]
+            )
+            if acc.fate:
+                self.permanent_accesses += 1
+            else:
+                self.dropped_accesses += 1
+        for acc, expected in top.snapshot_failures:
+            if acc.fate:
+                self._flag(Violation(
+                    VERSION,
+                    "snapshot read %r on %r saw %r, committed value "
+                    "at horizon %d is %r"
+                    % (acc.access, acc.obj, acc.seen,
+                       top.snapshot_horizon, expected),
+                    seq=acc.seq, obj=acc.obj,
+                    txns=(top.name,), accesses=(acc.access,),
+                ))
 
     def _drain(self, obj: str) -> None:
         """Pop the object's FIFO while the head's fate is known, replaying
@@ -600,6 +659,7 @@ class StreamingCertifier:
                 self.dropped_accesses += 1
                 continue
             self.permanent_accesses += 1
+            kind = acc.kind
             if obj not in self._values:
                 if obj not in self._warned_objects:
                     self._warned_objects.add(obj)
@@ -609,7 +669,7 @@ class StreamingCertifier:
                         % (obj,),
                         seq=acc.seq, obj=obj, accesses=(acc.access,),
                     ))
-            elif acc.kind == "increment":
+            elif kind == "increment":
                 # Blind access: no label to check — the replay applies
                 # the delta (the paper's update function a la (d13)).
                 self._values[obj] = self._values[obj] + acc.arg
@@ -622,29 +682,23 @@ class StreamingCertifier:
                         "history gives %r"
                         % (acc.access, obj, acc.seen, expected),
                         seq=acc.seq, obj=obj,
-                        txns=(acc.top,), accesses=(acc.access,),
+                        txns=(acc.top.name,), accesses=(acc.access,),
                     ))
-                if acc.kind == "write":
+                if kind == "write":
                     self._values[obj] = acc.arg
-            acc_kind = acc.kind
-            acc_reads = acc_kind == "read"
-            if applied:
-                for prev in applied:
-                    if prev.top is acc.top or prev.top == acc.top:
-                        continue
-                    if acc_reads and prev.kind == "read":
-                        continue
-                    if acc_kind == "increment" and prev.kind == "increment":
-                        continue  # commuting adds induce no precedence
-                    self._add_edge(prev, acc)
             if applied is None:
-                applied = self._applied.setdefault(obj, [])
+                applied = self._applied[obj] = []
+            else:
+                top = acc.top
+                for prev in applied:
+                    if prev.top is not top and _conflict(prev.kind, kind):
+                        self._add_edge(prev, acc)
             applied.append(acc)
             self._applied_count += 1
             if self._applied_count > self.max_applied_accesses:
                 self.max_applied_accesses = self._applied_count
         if not queue:
-            self._pending.pop(obj, None)
+            del self._pending[obj]
 
     # -- the rolling top-level conflict graph ------------------------------
 
@@ -663,34 +717,33 @@ class StreamingCertifier:
             self.max_graph_edges = self._edge_count
         path = self._find_path(b, a)
         if path is not None:
-            cycle = [a] + path
-            witnesses: List[ActionName] = [c.access, d.access]
+            cycle = [top.name for top in [a] + path]
             self._flag(Violation(
                 CYCLE,
                 "conflict sibling precedence has a cycle: %r"
                 % ([repr(n) for n in cycle],),
                 seq=d.seq, obj=c.obj,
-                txns=tuple(cycle), accesses=tuple(witnesses),
+                txns=tuple(cycle), accesses=(c.access, d.access),
             ))
 
-    def _find_path(self, source: ActionName, target: ActionName
-                   ) -> Optional[List[ActionName]]:
+    def _find_path(self, source: _TopTxn, target: _TopTxn
+                   ) -> Optional[List[_TopTxn]]:
         """A path source -> ... -> target in the top-level graph, or None.
         Iterative DFS; the graph only holds unretired transactions."""
-        if source == target:
+        if source is target:
             return [source]
-        stack: List[ActionName] = [source]
-        parent: Dict[ActionName, ActionName] = {}
-        seen: Set[ActionName] = {source}
+        stack: List[_TopTxn] = [source]
+        parent: Dict[_TopTxn, _TopTxn] = {}
+        seen: Set[_TopTxn] = {source}
         while stack:
             node = stack.pop()
             for nxt in self._succ.get(node, ()):
                 if nxt in seen:
                     continue
                 parent[nxt] = node
-                if nxt == target:
+                if nxt is target:
                     path = [nxt]
-                    while path[-1] != source:
+                    while path[-1] is not source:
                         path.append(parent[path[-1]])
                     path.reverse()
                     return path
@@ -700,95 +753,125 @@ class StreamingCertifier:
 
     # -- intra-transaction (nested family) check ---------------------------
 
-    def _check_internal_families(self, top: _TopTxn) -> None:
+    def _check_families(self, top: _TopTxn, suspects: Set[Path]) -> None:
         """Conflict sibling edges *inside* one committed top-level
-        transaction, checked at its commit: group its permanent accesses
-        per object in data order, pair conflicting ones, and verify each
-        sibling family's precedence is acyclic.  (Cross-transaction pairs
-        always meet at U and go through the rolling graph instead.)"""
+        transaction, for the families :meth:`_settle_committed` could not
+        clear: group the top's permanent accesses per object in data
+        order, pair conflicting ones, and verify each suspect family's
+        precedence is acyclic.  (Cross-transaction pairs always meet at U
+        and go through the rolling graph instead.)"""
         per_obj: Dict[str, List[_Access]] = {}
         for acc in top.accesses:
             if acc.fate:
                 per_obj.setdefault(acc.obj, []).append(acc)
-        families: Dict[ActionName, Dict[Tuple[ActionName, ActionName], Tuple]] = {}
-        for obj, seq in per_obj.items():
-            for i, c in enumerate(seq):
-                c_reads = c.kind == "read"
-                c_increments = c.kind == "increment"
-                for d in seq[i + 1:]:
-                    if c_reads and d.kind == "read":
+        families: Dict[Path, Dict[Tuple[Path, Path], Tuple]] = {}
+        for obj, ordered in per_obj.items():
+            for i, c in enumerate(ordered):
+                c_path = c.access.path
+                for d in ordered[i + 1:]:
+                    if not _conflict(c.kind, d.kind):
                         continue
-                    if c_increments and d.kind == "increment":
-                        continue  # commuting adds induce no precedence
-                    lca = c.access.lca(d.access)
-                    a = lca.child_toward(c.access)
-                    b = lca.child_toward(d.access)
-                    if a == b:
-                        continue
-                    families.setdefault(lca, {}).setdefault(
-                        (a, b), (c.access, d.access, obj)
-                    )
+                    d_path = d.access.path
+                    shared = _shared_prefix(c_path, d_path)
+                    if shared == len(c_path) or shared == len(d_path):
+                        continue  # one names the other: not a sibling pair
+                    lca = c_path[:shared]
+                    if lca in suspects:
+                        families.setdefault(lca, {}).setdefault(
+                            (c_path[:shared + 1], d_path[:shared + 1]),
+                            (c.access, d.access),
+                        )
         for lca, edges in families.items():
-            cycle = _digraph_cycle(edges.keys())
+            cycle = _digraph_cycle(edges)
             if cycle is not None:
                 witnesses: List[ActionName] = []
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    witness = edges.get((a, b))
-                    if witness is not None:
-                        witnesses.extend(witness[:2])
+                    witnesses.extend(edges.get((a, b), ()))
+                names = [ActionName(node) for node in cycle]
                 self._flag(Violation(
                     FAMILY_CYCLE,
                     "sibling precedence inside %r has a cycle under %r: %r"
-                    % (top.name, lca, [repr(n) for n in cycle]),
+                    % (top.name, ActionName(lca), [repr(n) for n in names]),
                     seq=top.resolve_seq,
-                    txns=tuple(cycle), accesses=tuple(witnesses),
+                    txns=tuple(names), accesses=tuple(witnesses),
                 ))
 
     # -- retirement --------------------------------------------------------
 
     def _retire(self) -> None:
-        for name in self._clock.retire_ready():
-            top = self._tops.pop(name, None)
-            if top is None:
-                continue
+        for top in self._clock.retire_ready():
+            label = top.name.path[0]
+            if self._tops.get(label) is top:
+                del self._tops[label]
             for obj in top.objects:
                 applied = self._applied.get(obj)
                 if not applied:
                     continue
-                kept = [a for a in applied if a.top != name]
+                kept = [a for a in applied if a.top is not top]
                 self._applied_count -= len(applied) - len(kept)
                 if kept:
                     self._applied[obj] = kept
                 else:
                     del self._applied[obj]
-            for b in self._succ.pop(name, {}):
+            for b in self._succ.pop(top, {}):
                 preds = self._pred.get(b)
                 if preds is not None:
-                    preds.discard(name)
+                    preds.discard(top)
                     if not preds:
                         del self._pred[b]
                 self._edge_count -= 1
-            for a in self._pred.pop(name, ()):
+            for a in self._pred.pop(top, ()):
                 out = self._succ.get(a)
-                if out is not None and out.pop(name, None) is not None:
+                if out is not None and out.pop(top, None) is not None:
                     self._edge_count -= 1
                     if not out:
                         del self._succ[a]
 
 
-def _digraph_cycle(edges) -> Optional[List[ActionName]]:
+def _conflict(first: str, second: str) -> bool:
+    """Whether two accesses of one object induce a precedence edge:
+    reads commute with reads, blind increments with increments."""
+    return first != second or (first != "read" and first != "increment")
+
+
+def _permanent(nested: Dict[Path, str], memo: Dict[Path, bool],
+               owner: Path) -> bool:
+    """Whether accesses owned by the transaction at ``owner`` survive a
+    committed top: ``owner`` and every nested transaction above it
+    committed (the top itself, depth 1, is the caller's premise)."""
+    known = memo.get(owner)
+    if known is None:
+        known = memo[owner] = len(owner) < 2 or (
+            nested.get(owner) == COMMITTED
+            and _permanent(nested, memo, owner[:-1])
+        )
+    return known
+
+
+def _shared_prefix(first: Path, second: Path) -> int:
+    """Length of the longest common prefix of two paths (the depth of
+    the least common ancestor of the actions they name)."""
+    shared = 0
+    for a, b in zip(first, second):
+        if a != b:
+            break
+        shared += 1
+    return shared
+
+
+def _digraph_cycle(edges) -> Optional[List[Path]]:
     """A cycle in a small digraph given as an iterable of (a, b) edges,
     or None.  White/grey/black iterative DFS, as in the offline oracle."""
-    adjacency: Dict[ActionName, List[ActionName]] = {}
+    adjacency: Dict[Path, List[Path]] = {}
     for a, b in edges:
         adjacency.setdefault(a, []).append(b)
     WHITE, GREY, BLACK = 0, 1, 2
-    color: Dict[ActionName, int] = {}
-    parent: Dict[ActionName, ActionName] = {}
+    color: Dict[Path, int] = {}
+    parent: Dict[Path, Path] = {}
     for root in adjacency:
         if color.get(root, WHITE) != WHITE:
             continue
-        stack: List[Tuple[ActionName, int]] = [(root, 0)]
+        stack: List[Tuple[Path, int]] = [(root, 0)]
         color[root] = GREY
         while stack:
             node, idx = stack[-1]
@@ -822,6 +905,5 @@ def certify_records(
     certifier (differential tests compare this against the offline
     :func:`~repro.checker.history.check_trace_serializable`)."""
     certifier = StreamingCertifier(initial)
-    for record in records:
-        certifier.feed(record)
+    certifier.feed_many(records)
     return certifier.finish()

@@ -23,7 +23,8 @@ serializes access with its own leaf lock.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from collections import deque
+from typing import Deque, Dict, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -42,6 +43,7 @@ class ReorderBuffer(Generic[T]):
         self._next = start
         self._heap: List[Tuple[int, int, T]] = []
         self._tiebreak = 0  # heap stability for equal (duplicate) seqs
+        #: Most items held at once, the one being pushed included.
         self.buffered_high_water = 0
 
     def __len__(self) -> int:
@@ -49,6 +51,14 @@ class ReorderBuffer(Generic[T]):
 
     def push(self, seq: Optional[int], item: T) -> List[T]:
         if seq is None:
+            return [item]
+        if seq == self._next and not self._heap:
+            # In order with nothing waiting: the common case (a single
+            # publisher, or a batch published in reserve order) never
+            # touches the heap.
+            self._next = seq + 1
+            if not self.buffered_high_water:
+                self.buffered_high_water = 1
             return [item]
         if seq < self._next:
             # Duplicate or stale seq (a re-fed stream): deliver in place
@@ -85,40 +95,58 @@ class RetirementClock:
     its window state may be dropped — once the watermark passes its
     resolve seq, i.e. once every transaction that began before it
     resolved has itself resolved.
+
+    Both seqs come from one monotone clock, which is what makes every
+    operation O(1): begin seqs strictly increase in registration order,
+    so the watermark is the first entry of the insertion-ordered
+    ``_begin_seq``, and resolve seqs never decrease, so the pending
+    queue is a FIFO.  ``begin`` and ``resolve`` reject a seq that runs
+    backwards instead of silently computing a wrong watermark.
     """
 
     def __init__(self) -> None:
-        self._begin_seq: Dict[object, int] = {}  # unresolved tops
-        self._pending: List[Tuple[int, int, object]] = []  # resolved, unretired
-        self._tiebreak = 0
+        self._begin_seq: Dict[object, int] = {}  # unresolved tops, begin order
+        self._pending: Deque[Tuple[int, object]] = deque()  # resolved, unretired
+        self._last_begin: Optional[int] = None
+        self._last_resolve: Optional[int] = None
         self.retired = 0
 
     def begin(self, key: object, seq: int) -> None:
+        if self._last_begin is not None and seq <= self._last_begin:
+            raise ValueError(
+                "begin seq %r does not follow %r" % (seq, self._last_begin)
+            )
+        self._last_begin = seq
+        self._begin_seq.pop(key, None)  # a re-registered key moves to the end
         self._begin_seq[key] = seq
 
     def resolve(self, key: object, seq: int) -> None:
+        if self._last_resolve is not None and seq < self._last_resolve:
+            raise ValueError(
+                "resolve seq %r precedes %r" % (seq, self._last_resolve)
+            )
+        self._last_resolve = seq
         self._begin_seq.pop(key, None)
-        self._tiebreak += 1
-        heapq.heappush(self._pending, (seq, self._tiebreak, key))
+        self._pending.append((seq, key))
 
     @property
     def watermark(self) -> Optional[int]:
         """Smallest begin seq among unresolved transactions (None when
         every known transaction has resolved)."""
-        if not self._begin_seq:
-            return None
-        return min(self._begin_seq.values())
+        for seq in self._begin_seq.values():
+            return seq
+        return None
 
-    def retire_ready(self) -> Iterator[object]:
-        """Yield (and forget) every resolved transaction whose window can
-        be discarded under the watermark rule."""
+    def retire_ready(self) -> List[object]:
+        """Forget and return every resolved transaction whose window can
+        be discarded under the watermark rule, oldest resolution first."""
         watermark = self.watermark
-        while self._pending and (
-            watermark is None or self._pending[0][0] < watermark
-        ):
-            _, _, key = heapq.heappop(self._pending)
-            self.retired += 1
-            yield key
+        pending = self._pending
+        ready: List[object] = []
+        while pending and (watermark is None or pending[0][0] < watermark):
+            ready.append(pending.popleft()[1])
+        self.retired += len(ready)
+        return ready
 
     def live_count(self) -> int:
         """Transactions whose window state is still held: unresolved plus

@@ -98,6 +98,27 @@ BATCH_ERROR = "error"
 _BATCH_KINDS = frozenset(("read", "read_for_update", "write", "increment"))
 
 
+def _begin_record(txn: Transaction, seq: int) -> TraceRecord:
+    """The ``create`` record of a begun transaction.  Snapshot top-levels
+    carry their horizon so certifiers can serialize them at the right
+    commit stamp."""
+    if txn.read_only and txn.parent is None:
+        return TraceRecord(
+            CREATE, txn.name, kind="snapshot", arg=txn.snapshot_horizon, seq=seq
+        )
+    return TraceRecord(CREATE, txn.name, seq=seq)
+
+
+def _perform_record(
+    txn: Transaction, obj: str, kind: str, seen: Any, arg: Any, seq: int
+) -> TraceRecord:
+    """The trace record of one granted data access (built off-latch;
+    ``seq`` was reserved under the latch that serialized the access)."""
+    return TraceRecord(
+        PERFORM, txn.name, txn.next_access_name(kind), obj, kind, seen, arg, seq
+    )
+
+
 class NestedTransactionDB:
     """A thread-safe in-process database with resilient nested transactions.
 
@@ -253,7 +274,9 @@ class NestedTransactionDB:
             from ..checker.streaming import StreamingCertifier
 
             self.certifier = StreamingCertifier(self.initial_values)
-            self.trace.add_listener(self.certifier.feed)
+            self.trace.add_listener(
+                self.certifier.feed, self.certifier.feed_many
+            )
 
     @property
     def stripe_count(self) -> int:
@@ -406,13 +429,24 @@ class NestedTransactionDB:
 
     def assert_certified(self) -> None:
         """Raise when the streaming certifier has flagged any violation
-        so far.  Requires ``certify="streaming"``; at quiescence (every
-        top-level transaction resolved) a clean pass is equivalent to the
-        offline oracle's serializability verdict on the trace."""
+        so far — or was cut off from the stream: a trace listener that
+        raised saw only part of it, so its silence certifies nothing.
+        Requires ``certify="streaming"``; at quiescence (every top-level
+        transaction resolved) a clean pass is equivalent to the offline
+        oracle's serializability verdict on the trace."""
         if self.certifier is None:
             raise ValueError(
                 'assert_certified() requires certify="streaming"'
             )
+        if self.trace.listener_errors:
+            from ..checker.streaming import PROTOCOL, StreamingViolation
+
+            raise StreamingViolation(
+                "[%s] %d trace listener error(s), the stream is not "
+                "certified; last: %r"
+                % (PROTOCOL, self.trace.listener_errors,
+                   self.trace.last_listener_error)
+            ) from self.trace.last_listener_error
         self.certifier.raise_on_violation()
 
     def _assert_quiescent_locked(self) -> None:
@@ -523,24 +557,15 @@ class NestedTransactionDB:
         """Off-critical-path half of begin: trace publication and event
         emission (both touch only leaf locks)."""
         if seq is not None:
-            if txn.read_only and txn.parent is None:
-                # Snapshot top-levels carry their horizon so certifiers
-                # can serialize them at the right commit stamp.
-                record = TraceRecord(
-                    CREATE,
-                    txn.name,
-                    kind="snapshot",
-                    arg=txn.snapshot_horizon,
-                    seq=seq,
-                )
-            else:
-                record = TraceRecord(CREATE, txn.name, seq=seq)
-            self.trace.publish(record)
+            self.trace.publish(_begin_record(txn, seq))
         if self.events.enabled:
-            parent = txn.parent
-            self.events.emit(
-                TxnBegun(txn.name, parent.name if parent is not None else None)
-            )
+            self._emit_begun(txn)
+
+    def _emit_begun(self, txn: Transaction) -> None:
+        parent = txn.parent
+        self.events.emit(
+            TxnBegun(txn.name, parent.name if parent is not None else None)
+        )
 
     def _commit(self, txn: Transaction) -> None:
         if self._striped:
@@ -606,21 +631,23 @@ class NestedTransactionDB:
         self,
         txn: Transaction,
         outcome: Tuple[Optional[int], Optional[int], Tuple[str, ...], Optional[int]],
-        defer_sync: bool = False,
+        batched: bool = False,
     ) -> Optional[int]:
         """Off-latch half of a global-mode commit: trace publication,
-        the durable fsync, and event fan-out.  With ``defer_sync`` the
-        fsync is skipped and the WAL lsn returned so a batched caller can
-        cover many commits with one sync (see :meth:`commit_batch`)."""
+        the durable fsync, and event fan-out.  A ``batched`` caller
+        (:meth:`commit_batch`) publishes the whole batch's records in
+        one go and covers its commits with one sync, so both are skipped
+        here and the WAL lsn is returned."""
         commit_seq, stamp, inherited, wal_lsn = outcome
-        if commit_seq is not None:
-            # Top-level commits carry their commit stamp so certifiers can
-            # reconstruct the committed state at any snapshot horizon.
-            self.trace.publish(
-                TraceRecord(COMMIT, txn.name, arg=stamp, seq=commit_seq)
-            )
-        if wal_lsn is not None and not defer_sync:
-            self._finish_durable_commit(wal_lsn)
+        if not batched:
+            if commit_seq is not None:
+                # Top-level commits carry their commit stamp so certifiers
+                # can reconstruct the committed state at any horizon.
+                self.trace.publish(
+                    TraceRecord(COMMIT, txn.name, arg=stamp, seq=commit_seq)
+                )
+            if wal_lsn is not None:
+                self._finish_durable_commit(wal_lsn)
         if self.events.enabled:
             parent = txn.parent
             self.events.emit(TxnCommitted(txn.name, len(inherited)))
@@ -827,18 +854,7 @@ class NestedTransactionDB:
         if seq is not None:
             # Off the critical path: record construction and publication
             # touch only the recorder's leaf lock (see trace.py).
-            trace.publish(
-                TraceRecord(
-                    PERFORM,
-                    txn.name,
-                    txn.next_access_name("read"),
-                    obj,
-                    "read",
-                    value,
-                    None,
-                    seq,
-                )
-            )
+            trace.publish(_perform_record(txn, obj, "read", value, None, seq))
         return value
 
     def _write(self, txn: Transaction, obj: str, value: Any) -> None:
@@ -860,18 +876,7 @@ class NestedTransactionDB:
             if trace is not None:
                 seq = trace.reserve_seq()
         if seq is not None:
-            trace.publish(
-                TraceRecord(
-                    PERFORM,
-                    name,
-                    txn.next_access_name("write"),
-                    obj,
-                    "write",
-                    seen,
-                    value,
-                    seq,
-                )
-            )
+            trace.publish(_perform_record(txn, obj, "write", seen, value, seq))
 
     def _increment(self, txn: Transaction, obj: str, delta: Any) -> None:
         """A blind increment under an ``INCREMENT`` lock (commutes with
@@ -900,16 +905,7 @@ class NestedTransactionDB:
             # Blind access: there is no observed value (seen=None); the
             # certifiers replay the delta instead of checking a label.
             trace.publish(
-                TraceRecord(
-                    PERFORM,
-                    name,
-                    txn.next_access_name("increment"),
-                    obj,
-                    "increment",
-                    None,
-                    delta,
-                    seq,
-                )
+                _perform_record(txn, obj, "increment", None, delta, seq)
             )
 
     def _read_snapshot(self, txn: Transaction, obj: str) -> Any:
@@ -941,18 +937,7 @@ class NestedTransactionDB:
                 if trace is not None:
                     seq = trace.reserve_seq()
         if seq is not None:
-            trace.publish(
-                TraceRecord(
-                    PERFORM,
-                    txn.name,
-                    txn.next_access_name("read"),
-                    obj,
-                    "read",
-                    value,
-                    None,
-                    seq,
-                )
-            )
+            trace.publish(_perform_record(txn, obj, "read", value, None, seq))
         return value
 
     def _acquire_locked(self, txn: Transaction, obj: str, mode: str) -> None:
@@ -1234,42 +1219,14 @@ class NestedTransactionDB:
                 # record off the critical path (its seq was reserved
                 # under the mutex, so the linearization is unaffected).
                 if seq is not None:
-                    if kind == "read":
-                        record = TraceRecord(
-                            PERFORM,
-                            name,
-                            txn.next_access_name("read"),
-                            obj,
-                            "read",
-                            value,
-                            None,
-                            seq,
+                    # A blind increment observed nothing (seen stays
+                    # None); certifiers replay its delta instead.
+                    trace.publish(
+                        _perform_record(
+                            txn, obj, kind,
+                            value if kind == "read" else seen, arg, seq,
                         )
-                    elif kind == "increment":
-                        # Blind access: no observed value; certifiers
-                        # replay the delta rather than checking a label.
-                        record = TraceRecord(
-                            PERFORM,
-                            name,
-                            txn.next_access_name("increment"),
-                            obj,
-                            "increment",
-                            None,
-                            arg,
-                            seq,
-                        )
-                    else:
-                        record = TraceRecord(
-                            PERFORM,
-                            name,
-                            txn.next_access_name("write"),
-                            obj,
-                            "write",
-                            seen,
-                            arg,
-                            seq,
-                        )
-                    trace.publish(record)
+                    )
                 return value if kind == "read" else None
             if victim_name is not None:
                 with self._meta:
@@ -1565,8 +1522,13 @@ class NestedTransactionDB:
                 pairs.append(
                     self._begin_locked(name, parent=None, read_only=read_only)
                 )
-        for txn, seq in pairs:
-            self._publish_begin(txn, seq)
+        if self.trace is not None:
+            self.trace.publish_many(
+                [_begin_record(txn, seq) for txn, seq in pairs]
+            )
+        if self.events.enabled:
+            for txn, _seq in pairs:
+                self._emit_begun(txn)
         return [txn for txn, _seq in pairs]
 
     def try_perform_batch(
@@ -1940,22 +1902,8 @@ class NestedTransactionDB:
         """Publish a batch's trace records (every latch released; seqs
         were reserved under the latches, so linearization is unaffected —
         readers sort by seq, see trace.py)."""
-        trace = self.trace
-        if trace is None:
-            return
-        for txn, obj, kind, seen, arg, seq in publish:
-            trace.publish(
-                TraceRecord(
-                    PERFORM,
-                    txn.name,
-                    txn.next_access_name(kind),
-                    obj,
-                    kind,
-                    seen,
-                    arg,
-                    seq,
-                )
-            )
+        if self.trace is not None:
+            self.trace.publish_many([_perform_record(*op) for op in publish])
 
     def commit_batch(
         self, txns: List[Transaction]
@@ -1994,11 +1942,17 @@ class NestedTransactionDB:
                 except (TransactionAborted, InvalidTransactionState) as error:
                     results[i] = (BATCH_ERROR, error)
             self._cond.notify_all()
+        if self.trace is not None:
+            self.trace.publish_many([
+                TraceRecord(COMMIT, txn.name, arg=outcome[1], seq=outcome[0])
+                for txn, outcome in zip(txns, outcomes)
+                if outcome is not None
+            ])
         for i, txn in enumerate(txns):
             outcome = outcomes[i]
             if outcome is None:
                 continue
-            lsn = self._publish_commit_global(txn, outcome, defer_sync=True)
+            lsn = self._publish_commit_global(txn, outcome, batched=True)
             results[i] = (BATCH_DONE, None)
             if lsn is not None and (max_lsn is None or lsn > max_lsn):
                 max_lsn = lsn

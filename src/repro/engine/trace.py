@@ -41,7 +41,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, IO, List, Optional, Tuple, Union
+from typing import Any, IO, List, Optional, Sequence, Tuple, Union
 
 from ..core.naming import ActionName
 
@@ -51,7 +51,7 @@ COMMIT = "commit"
 ABORT = "abort"
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class TraceRecord:
     """One engine event.
 
@@ -62,16 +62,49 @@ class TraceRecord:
     writes (None for reads).  ``seq`` is the recorder-assigned sequence
     number (None for hand-built records); list position and ``seq`` order
     always agree for recorder-produced traces.
+
+    A value object: treat instances as immutable (derive variants with
+    ``dataclasses.replace``).  The engine builds one per traced event, so
+    the class is slotted with a hand-written ``__init__`` — a generated
+    frozen ``__init__`` pays an ``object.__setattr__`` per field, five
+    times the cost — and the fields are declared without class-level
+    defaults because those would collide with ``__slots__``.
     """
+
+    __slots__ = ("op", "txn", "access", "obj", "kind", "seen", "arg", "seq")
 
     op: str
     txn: ActionName
-    access: Optional[ActionName] = None
-    obj: Optional[str] = None
-    kind: Optional[str] = None
-    seen: Any = None
-    arg: Any = None
-    seq: Optional[int] = None
+    access: Optional[ActionName]
+    obj: Optional[str]
+    kind: Optional[str]
+    seen: Any
+    arg: Any
+    seq: Optional[int]
+
+    def __init__(
+        self,
+        op: str,
+        txn: ActionName,
+        access: Optional[ActionName] = None,
+        obj: Optional[str] = None,
+        kind: Optional[str] = None,
+        seen: Any = None,
+        arg: Any = None,
+        seq: Optional[int] = None,
+    ) -> None:
+        self.op = op
+        self.txn = txn
+        self.access = access
+        self.obj = obj
+        self.kind = kind
+        self.seen = seen
+        self.arg = arg
+        self.seq = seq
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.txn, self.access, self.obj, self.kind,
+                     self.seen, self.arg, self.seq))
 
 
 class TraceRecorder:
@@ -97,7 +130,7 @@ class TraceRecorder:
 
     # -- listeners (live trace subscribers) --------------------------------
 
-    def add_listener(self, listener: Any) -> Any:
+    def add_listener(self, listener: Any, many: Any = None) -> Any:
         """Subscribe a callable to every published record.
 
         Listeners run on the publishing thread, *outside* the recorder's
@@ -105,27 +138,31 @@ class TraceRecorder:
         published eagerly), so they must be leaf consumers: take only
         their own locks, never call back into the engine.  A raising
         listener is contained (counted, never propagated) — the same
-        contract as event sinks.  The streaming certifier subscribes
-        here when the engine is built with ``certify="streaming"``.
+        contract as event sinks; ``NestedTransactionDB.assert_certified``
+        refuses to certify a stream whose listener raised.  ``many``, when
+        given, is the listener's batch form: :meth:`publish_many` hands it
+        the whole batch in one call (so a consumer with its own lock takes
+        it once per batch) instead of calling ``listener`` per record.
+        The streaming certifier subscribes here when the engine is built
+        with ``certify="streaming"``.
         """
         with self._lock:
-            self._listeners = self._listeners + (listener,)
+            self._listeners = self._listeners + ((listener, many),)
         return listener
 
     def remove_listener(self, listener: Any) -> None:
         with self._lock:
             self._listeners = tuple(
-                l for l in self._listeners if l is not listener
+                pair for pair in self._listeners if pair[0] is not listener
             )
 
-    def _notify(self, record: TraceRecord) -> None:
-        for listener in self._listeners:
-            try:
-                listener(record)
-            except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
-                with self._lock:
-                    self.listener_errors += 1
-                    self.last_listener_error = error
+    def _deliver(self, consumer: Any, payload: Any) -> None:
+        try:
+            consumer(payload)
+        except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
+            with self._lock:
+                self.listener_errors += 1
+                self.last_listener_error = error
 
     # -- hot-path API: reserve inside the latch, publish outside -----------
 
@@ -146,8 +183,31 @@ class TraceRecorder:
             else:
                 self._last_seq = seq
             self._records.append(record)
-        if self._listeners:
-            self._notify(record)
+        for listener, _many in self._listeners:
+            self._deliver(listener, record)
+
+    def publish_many(self, records: Sequence[TraceRecord]) -> None:
+        """:meth:`publish` for a batch: one crossing of the recorder's
+        leaf lock, and one call per listener that registered a batch
+        form."""
+        if not records:
+            return
+        with self._lock:
+            last = self._last_seq
+            for record in records:
+                seq = record.seq
+                if seq is None or seq <= last:
+                    self._unsorted = True
+                else:
+                    last = seq
+            self._last_seq = last
+            self._records.extend(records)
+        for listener, many in self._listeners:
+            if many is not None:
+                self._deliver(many, records)
+            else:
+                for record in records:
+                    self._deliver(listener, record)
 
     # -- convenience API: reserve + publish in one step --------------------
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.checker import (
     CYCLE,
     FAMILY_CYCLE,
+    PROTOCOL,
     VERSION,
     ReorderBuffer,
     RetirementClock,
@@ -231,6 +232,177 @@ class TestInjectedViolations:
 
 
 # ---------------------------------------------------------------------------
+# The path-tuple fast path: permanence per transaction, the family skip
+# rule, and top-level labels indexed by path[0]
+# ---------------------------------------------------------------------------
+
+
+class TestPathTupleFastPath:
+    def test_aborted_middle_of_deep_chain_drops_only_its_subtree(self):
+        """top > a > b > c with b aborted under a committed top: b's and
+        c's accesses leave perm(T) (c committed, but into an aborted
+        parent); a's own access and a's sibling d survive.  The dropped
+        reads saw garbage, so keeping any of them would flag VERSION."""
+        top = U.child("0")
+        a = top.child("a")
+        b = a.child("b")
+        c = b.child("c")
+        d = top.child("d")
+        records = [
+            TraceRecord(CREATE, top),
+            TraceRecord(CREATE, a),
+            perform(a, 0, "x", "write", 0, 1),
+            TraceRecord(CREATE, b),
+            perform(b, 0, "x", "read", 999),
+            TraceRecord(CREATE, c),
+            perform(c, 0, "y", "read", 999),
+            perform(c, 1, "y", "write", 999, 5),
+            TraceRecord(COMMIT, c),
+            TraceRecord(ABORT, b),
+            perform(a, 1, "y", "read", 0),
+            TraceRecord(COMMIT, a),
+            TraceRecord(CREATE, d),
+            perform(d, 0, "y", "write", 0, 2),
+            TraceRecord(COMMIT, d),
+            TraceRecord(COMMIT, top),
+        ]
+        initial = {"x": 0, "y": 0}
+        report = certify_records(records, initial)
+        assert report.ok, report.violations
+        assert report.permanent_accesses == 3
+        assert report.dropped_accesses == 3
+        assert check_trace_serializable(records, initial, strict=False).ok
+        # The same trace with the middle committed keeps the garbage reads.
+        kept = [
+            replace(r, op=COMMIT) if r.op == ABORT and r.txn == b else r
+            for r in records
+        ]
+        assert not certify_records(kept, initial).ok
+
+    def test_interleaved_deep_siblings_still_flag_family_cycle(self):
+        """Guards the skip rule: sibling subtrees whose accesses interleave
+        (p.s0, q.s0, q.s0, p.s1) close p -> q -> p under the top.  The
+        accesses sit two levels below the cyclic family, and a third,
+        purely sequential sibling must not hide it."""
+        top = U.child("0")
+        p, q, r = top.child("p"), top.child("q"), top.child("r")
+        p0, p1, q0 = p.child("s0"), p.child("s1"), q.child("s0")
+        x1 = perform(p0, 0, "x", "write", 0, 1)
+        x2 = perform(q0, 0, "x", "write", 1, 2)
+        y1 = perform(q0, 1, "y", "write", 0, 1)
+        y2 = perform(p1, 0, "y", "write", 1, 2)
+        records = [
+            TraceRecord(CREATE, top),
+            TraceRecord(CREATE, p), TraceRecord(CREATE, q),
+            TraceRecord(CREATE, p0), TraceRecord(CREATE, q0),
+            x1, TraceRecord(COMMIT, p0),
+            x2, y1, TraceRecord(COMMIT, q0),
+            TraceRecord(CREATE, p1), y2, TraceRecord(COMMIT, p1),
+            TraceRecord(COMMIT, p), TraceRecord(COMMIT, q),
+            TraceRecord(CREATE, r),
+            perform(r, 0, "z", "write", 0, 1),
+            TraceRecord(COMMIT, r),
+            TraceRecord(COMMIT, top),
+        ]
+        initial = {"x": 0, "y": 0, "z": 0}
+        report = certify_records(records, initial)
+        cycles = [v for v in report.violations if v.kind == FAMILY_CYCLE]
+        assert len(cycles) == 1 and len(report.violations) == 1
+        assert cycles[0].txns == (p, q)
+        assert cycles[0].accesses == (
+            x1.access, x2.access, y1.access, y2.access
+        )
+        assert not check_trace_serializable(records, initial, strict=False).ok
+
+    def test_sequential_siblings_need_no_cycle_search(self, monkeypatch):
+        """The shape every engine run produces — each subtree's accesses
+        contiguous — is cleared without enumerating a single pair."""
+        from repro.checker import streaming
+
+        def unreachable(edges):
+            raise AssertionError("cycle search on a sequential family")
+
+        monkeypatch.setattr(streaming, "_digraph_cycle", unreachable)
+        top = U.child("0")
+        records = [TraceRecord(CREATE, top)]
+        value = 0
+        for i in range(4):
+            sub = top.child("s%d" % i)
+            records.append(TraceRecord(CREATE, sub))
+            records.append(perform(sub, 0, "x", "read", value))
+            records.append(perform(sub, 1, "x", "write", value, value + 1))
+            records.append(TraceRecord(COMMIT, sub))
+            value += 1
+        records.append(perform(top, 0, "x", "read", value))
+        records.append(TraceRecord(COMMIT, top))
+        report = certify_records(records, {"x": 0})
+        assert report.ok and report.permanent_accesses == 9
+
+    def test_top_level_label_reused_after_retirement(self):
+        """created -> committed -> retired -> created again under the same
+        label: the second incarnation must start from a fresh window
+        entry, not inherit the first one's status or accesses."""
+        top = U.child("again")
+        first = [
+            TraceRecord(CREATE, top),
+            perform(top, 0, "x", "write", 0, 1),
+            TraceRecord(COMMIT, top),
+        ]
+        second = [
+            TraceRecord(CREATE, top),
+            perform(top, 1, "x", "read", 1),
+            perform(top, 2, "x", "write", 1, 2),
+            TraceRecord(COMMIT, top),
+        ]
+        certifier = StreamingCertifier({"x": 0})
+        certifier.feed_many(first)
+        assert certifier.report().stats["retired_tops"] == 1
+        assert certifier.report().stats["live_tops"] == 0
+        certifier.feed_many(second)
+        report = certifier.finish()
+        assert report.ok, report.violations
+        assert report.permanent_accesses == 3
+        assert report.stats["retired_tops"] == 2
+        assert report.stats["max_live_tops"] == 1
+
+    def test_create_of_a_still_active_top_is_a_protocol_violation(self):
+        top = U.child("0")
+        report = certify_records(
+            [TraceRecord(CREATE, top), TraceRecord(CREATE, top),
+             TraceRecord(COMMIT, top)],
+            {"x": 0},
+        )
+        assert [v.kind for v in report.violations] == [PROTOCOL]
+        assert report.stats["retired_tops"] == 1
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_feed_many_matches_repeated_feed(self, rng):
+        """Batch feeding is only a coarser lock: same violations, same
+        statistics as feeding one record at a time, whatever the arrival
+        order and however the stream is cut into batches."""
+        records = [
+            replace(record, seq=i)
+            for i, record in enumerate(counter_trace(10, OBJECTS))
+        ]
+        performs = [i for i, r in enumerate(records) if r.op == PERFORM]
+        records[performs[7]] = replace(records[performs[7]], seen=40)
+        rng.shuffle(records)
+        one_by_one = StreamingCertifier(INITIAL)
+        for record in records:
+            one_by_one.feed(record)
+        batched = StreamingCertifier(INITIAL)
+        cut = 0
+        while cut < len(records):
+            size = rng.randint(1, 9)
+            batched.feed_many(records[cut:cut + size])
+            cut += size
+        assert batched.report().to_dict() == one_by_one.report().to_dict()
+        assert batched.finish().to_dict() == one_by_one.finish().to_dict()
+        assert not batched.ok
+
+
+# ---------------------------------------------------------------------------
 # Bounded memory: the window tracks concurrency, not run length
 # ---------------------------------------------------------------------------
 
@@ -334,7 +506,50 @@ class TestReorderBuffer:
         assert buffer.drain() == []
 
 
+    def test_in_order_pushes_release_immediately(self):
+        buffer = ReorderBuffer()
+        for seq in range(5):
+            assert buffer.push(seq, seq) == [seq]
+        assert len(buffer) == 0
+        assert buffer.buffered_high_water == 1
+        assert buffer.push(6, 6) == []
+        assert buffer.push(5, 5) == [5, 6]
+
+
 class TestRetirementClock:
+    @given(st.lists(st.integers(min_value=0, max_value=3), max_size=60))
+    def test_watermark_is_the_minimum_unresolved_begin(self, choices):
+        """The O(1) watermark (first entry of the begin-ordered dict)
+        equals the minimum begin seq over unresolved keys — what the
+        O(live) ``min()`` it replaced computed — under any interleaving
+        of begins and resolves."""
+        clock = RetirementClock()
+        unresolved = {}
+        seq = 0
+        for choice in choices:
+            seq += 1
+            if choice == 0 or not unresolved:
+                unresolved[seq] = seq
+                clock.begin(seq, seq)
+            else:
+                key = sorted(unresolved)[choice % len(unresolved)]
+                del unresolved[key]
+                clock.resolve(key, seq)
+                clock.retire_ready()
+            expected = min(unresolved.values()) if unresolved else None
+            assert clock.watermark == expected
+            assert clock.live_count() >= len(unresolved)
+
+    def test_seqs_must_not_run_backwards(self):
+        clock = RetirementClock()
+        clock.begin("a", 5)
+        with pytest.raises(ValueError):
+            clock.begin("b", 5)
+        clock.resolve("a", 7)
+        clock.begin("c", 8)
+        with pytest.raises(ValueError):
+            clock.resolve("c", 6)
+
     def test_watermark_and_retirement(self):
         clock = RetirementClock()
         clock.begin("a", 0)
@@ -429,6 +644,43 @@ class TestLiveEngineWiring:
         with pytest.raises(StreamingViolation, match="obj0000"):
             db.assert_certified()
         assert not db.certifier.ok
+
+    def test_assert_certified_fails_after_a_listener_raised(self):
+        """A listener that raised saw only part of the stream; before the
+        fix the certifier's silence still read as "certified"."""
+        db = NestedTransactionDB(initial_values(4), config=EngineConfig(certify="streaming"))
+        boom = RuntimeError("certifier bug")
+        real_ingest = db.certifier._ingest
+        calls = itertools.count()
+
+        def flaky(record):
+            if next(calls) == 2:
+                raise boom
+            real_ingest(record)
+
+        db.certifier._ingest = flaky
+        with db.transaction() as txn:
+            txn.write("obj0000", 1)
+            txn.write("obj0001", 2)
+        assert db.certifier.ok  # no violation was ever flagged
+        assert db.trace.listener_errors == 1
+        with pytest.raises(StreamingViolation, match="listener") as caught:
+            db.assert_certified()
+        assert caught.value.__cause__ is boom
+
+    def test_stranded_records_show_in_the_report(self):
+        """Records parked behind a seq that never publishes are visible
+        as ``reorder_buffered`` (current), not only in the high-water."""
+        records = [
+            replace(record, seq=i)
+            for i, record in enumerate(counter_trace(2, OBJECTS))
+        ]
+        certifier = StreamingCertifier(INITIAL)
+        certifier.feed_many(records[:3] + records[4:])
+        stats = certifier.report().stats
+        assert stats["reorder_buffered"] == len(records) - 4
+        assert certifier.report().records == 3
+        assert certifier.finish().stats["reorder_buffered"] == 0
 
     def test_trace_bus_bridge_stream_certifies(self):
         """The JSONL event stream produced by TraceBusBridge + a file
