@@ -5,7 +5,7 @@ path, so its cost lands on the worker threads that publish records.  Two
 questions decide whether it can stay on in CI and nightly sweeps:
 
 * **throughput overhead** — the smoke cell (32 objects, mixed shapes,
-  10% injected failures) in both latch modes, certified vs uncertified,
+  10% injected failures), certified vs uncertified,
   in the latency-dominated regime CI's smoke benchmark runs in.  The
   budget is <10% committed-transaction throughput; wall clocks are noisy
   on shared machines, so each arm takes the best of two runs and the
@@ -36,7 +36,6 @@ OBJECTS = 32
 THREADS = 6
 PROGRAMS = scale(40)  # REPRO_BENCH_SCALE shrinks the nightly sweep
 OP_DELAY = 0.0003  # the latency-dominated regime (GIL released per op)
-MODES = ("global", "striped")
 
 
 def _config(programs: int) -> WorkloadConfig:
@@ -50,8 +49,8 @@ def _config(programs: int) -> WorkloadConfig:
     )
 
 
-def _run(latch_mode: str, certify: bool, programs: int = PROGRAMS):
-    db = NestedTransactionDB(initial_values(OBJECTS), config=EngineConfig(latch_mode=latch_mode, record_trace=True, certify="streaming" if certify else None))
+def _run(certify: bool, programs: int = PROGRAMS):
+    db = NestedTransactionDB(initial_values(OBJECTS), config=EngineConfig(record_trace=True, certify="streaming" if certify else None))
     report = execute(
         db,
         WorkloadGenerator(_config(programs)).programs(),
@@ -68,14 +67,14 @@ def _run(latch_mode: str, certify: bool, programs: int = PROGRAMS):
     return db, report
 
 
-def _overhead_cell(latch_mode: str):
+def _overhead_cell():
     """Best-of-two throughput for each arm, plus verdicts and timings."""
-    cell = {"latch_mode": latch_mode}
+    cell = {}
     best = {}
     for arm in ("baseline", "streaming"):
         arm_best = 0.0
         for _attempt in range(2):
-            db, report = _run(latch_mode, certify=arm == "streaming")
+            db, report = _run(certify=arm == "streaming")
             arm_best = max(arm_best, report.throughput)
             if arm == "streaming":
                 streaming = db.certifier.finish()
@@ -98,13 +97,13 @@ def _overhead_cell(latch_mode: str):
     return cell
 
 
-def _window_sweep(latch_mode: str = "striped"):
+def _window_sweep():
     """High-water window marks as the run length grows 4x: retirement
     keeps the live window flat while the trace (what the offline oracle
     holds) grows linearly."""
     rows = []
     for programs in (PROGRAMS, PROGRAMS * 2, PROGRAMS * 4):
-        db, _report = _run(latch_mode, certify=True, programs=programs)
+        db, _report = _run(certify=True, programs=programs)
         streaming = db.certifier.finish()
         assert streaming.ok
         stats = streaming.stats
@@ -123,17 +122,13 @@ def _window_sweep(latch_mode: str = "striped"):
 
 
 def test_e11_streaming_overhead(benchmark):
-    cells = benchmark.pedantic(
-        lambda: [_overhead_cell(mode) for mode in MODES], rounds=1, iterations=1
-    )
-    # Noise guard: re-measure any cell over budget once before failing.
-    cells = [
-        cell if cell["overhead_pct"] < 10.0 else _overhead_cell(cell["latch_mode"])
-        for cell in cells
-    ]
+    cell = benchmark.pedantic(_overhead_cell, rounds=1, iterations=1)
+    # Noise guard: re-measure a cell over budget once before failing.
+    if cell["overhead_pct"] >= 10.0:
+        cell = _overhead_cell()
+    cells = [cell]
     table = Table(
         [
-            "latch_mode",
             "baseline_tput",
             "streaming_tput",
             "overhead_pct",
@@ -168,7 +163,7 @@ def test_e11_streaming_overhead(benchmark):
     for row in window_rows:
         window_table.add_dict(row)
     emit(
-        "E11b: streaming window high-water vs run length (striped)",
+        "E11b: streaming window high-water vs run length",
         window_table,
         notes=(
             "The offline oracle holds every trace record; the streaming\n"

@@ -43,7 +43,7 @@ OP_DELAY = 0.0005  # sleeps *inside* held locks: lock waits dominate
 
 def _counter_cell(counter_kind: str, theta: float):
     return run_cell(
-        "moss-striped",
+        "moss-rw",
         threads=THREADS,
         op_delay=OP_DELAY,
         max_retries=500,
@@ -121,7 +121,7 @@ def test_e12a_increment_vs_rmw(benchmark):
 def _reader_throughput(read_only: bool, writer_threads: int) -> float:
     """Reader programs/second with ``writer_threads`` increment writers
     running concurrently; ``read_only`` picks snapshot vs locked reads."""
-    db = SYSTEMS["moss-striped"](initial_values(OBJECTS))
+    db = SYSTEMS["moss-rw"](initial_values(OBJECTS))
     config = WorkloadConfig(
         objects=OBJECTS,
         theta=1.2,  # readers and writers pile onto the same hot objects

@@ -6,8 +6,8 @@ batches their begins, lock acquisitions and commits so one latch
 crossing serves many sessions and commit acks coalesce into group
 fsyncs.  This benchmark prices that architecture against the baseline
 every earlier experiment used — one OS thread per client on the blocking
-API — at 1k / 10k / 100k concurrent sessions, in both latch modes, with
-every measured run streaming-certified.
+API — at 1k / 10k / 100k concurrent sessions, with every measured run
+streaming-certified.
 
 What the cells mean depends on the host, and the artifact records it:
 
@@ -47,7 +47,6 @@ from repro.serve.loadgen import (
     run_threaded_cell,
 )
 
-MODES = ("global", "striped")
 #: REPRO_BENCH_SCALE shrinks the sweep (CI smoke runs the 1k cell only,
 #: via scripts/serve_bench.py); duplicates after scaling collapse.
 SESSIONS = tuple(sorted({scale(1000), scale(10000), scale(100000)}))
@@ -77,7 +76,6 @@ def _row(cell):
     serve = cell.get("serve") or {}
     return {
         "driver": cell["driver"],
-        "latch_mode": cell["latch_mode"],
         "sessions": cell["sessions"],
         "committed_per_s": cell.get("committed_per_s", 0.0),
         "txn_p50_ms": txn.get("p50", 0.0),
@@ -97,20 +95,15 @@ def _run_cells():
             TOP_INFLIGHT
             if sessions >= TOP and len(SESSIONS) > 1 else None
         )
-        for mode in MODES:
-            cells.append(
-                run_async_cell(
-                    mode, sessions=sessions, certify=CERTIFY,
-                    max_inflight=inflight,
-                )
+        cells.append(
+            run_async_cell(
+                sessions=sessions, certify=CERTIFY, max_inflight=inflight
             )
+        )
     for sessions in SESSIONS:
         if sessions >= TOP and len(SESSIONS) > 1:
             continue  # the ceiling attempt below covers the top cell
-        for mode in MODES:
-            cells.append(
-                run_threaded_cell(mode, sessions=sessions, certify=CERTIFY)
-            )
+        cells.append(run_threaded_cell(sessions=sessions, certify=CERTIFY))
     if len(SESSIONS) > 1:
         # The ceiling attempt: thread-per-session at the top cell.
         # Either it dies at the OS thread ceiling (the cell reports
@@ -119,17 +112,13 @@ def _run_cells():
         # case peak_live_threads records how few clients were ever
         # actually concurrent.  Both outcomes are the measurement the
         # asyncio cells escape: they *hold* the whole fleet live.
-        cells.append(run_threaded_cell("global", sessions=TOP, certify=CERTIFY))
+        cells.append(run_threaded_cell(sessions=TOP, certify=CERTIFY))
     return cells
 
 
-def _find(cells, driver, mode, sessions):
+def _find(cells, driver, sessions):
     for cell in cells:
-        if (
-            cell["driver"] == driver
-            and cell["latch_mode"] == mode
-            and cell["sessions"] == sessions
-        ):
+        if cell["driver"] == driver and cell["sessions"] == sessions:
             return cell
     return None
 
@@ -140,8 +129,8 @@ def test_e15_saturation(benchmark):
     cal_ns = calibration_loop_ns()
 
     # --- the A/B quotient the archetype is about -------------------------
-    async_mid = _find(cells, "async", "global", MID)
-    threaded_mid = _find(cells, "threaded", "global", MID)
+    async_mid = _find(cells, "async", MID)
+    threaded_mid = _find(cells, "threaded", MID)
     ratio = None
     if async_mid and threaded_mid and threaded_mid.get("committed_per_s"):
         ratio = round(
@@ -149,7 +138,6 @@ def test_e15_saturation(benchmark):
         )
     ab = {
         "sessions": MID,
-        "latch_mode": "global",
         "async_per_s": async_mid["committed_per_s"] if async_mid else None,
         "threaded_per_s": (
             threaded_mid["committed_per_s"] if threaded_mid else None
@@ -162,7 +150,6 @@ def test_e15_saturation(benchmark):
     table = Table(
         [
             "driver",
-            "latch_mode",
             "sessions",
             "committed_per_s",
             "txn_p50_ms",
@@ -176,7 +163,7 @@ def test_e15_saturation(benchmark):
     )
     for cell in cells:
         table.add_dict(_row(cell))
-    ceiling = _find(cells, "threaded", "global", TOP)
+    ceiling = _find(cells, "threaded", TOP)
     if ceiling is None:
         ceiling_note = ""
     elif ceiling.get("error"):
@@ -198,7 +185,7 @@ def test_e15_saturation(benchmark):
         table,
         notes=(
             "Every measured run is streaming-certified.  cpu_count=%d: %s\n"
-            "A/B at %d sessions (global): async/threaded = %s (gate %.1fx %s)."
+            "A/B at %d sessions: async/threaded = %s (gate %.1fx %s)."
             "%s"
             % (
                 CPU_COUNT,
@@ -241,11 +228,10 @@ def test_e15_saturation(benchmark):
             assert cell["completed_sessions"] == cell["sessions"], cell
         assert cell["certified"], cell
     # Async cells must survive every size — including the top cell the
-    # baseline cannot start — in both latch modes.
+    # baseline cannot start.
     for sessions in SESSIONS:
-        for mode in MODES:
-            cell = _find(cells, "async", mode, sessions)
-            assert cell is not None and cell["committed_per_s"] > 0, cell
+        cell = _find(cells, "async", sessions)
+        assert cell is not None and cell["committed_per_s"] > 0, cell
     # The batch path must actually batch: fewer latch crossings than ops.
     for cell in cells:
         serve = cell.get("serve")

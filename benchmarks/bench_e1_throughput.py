@@ -19,29 +19,13 @@ Two regimes:
 
 from __future__ import annotations
 
-import json
-import os
+from repro.bench import Table, emit, run_cell, scale
 
-from repro.bench import (
-    Table,
-    certify_if_enabled,
-    emit,
-    enable_metrics,
-    make_striped_system,
-    make_system,
-    metrics_summary,
-    run_cell,
-    scale,
-)
-from repro.bench.reporting import RESULTS_DIR
-from repro.workload import WorkloadConfig, WorkloadGenerator, execute
-
-SYSTEM_NAMES = ("moss-rw", "moss-striped", "moss-single", "flat-2pl", "global-lock")
+SYSTEM_NAMES = ("moss-rw", "moss-single", "flat-2pl", "global-lock")
 THREADS = (1, 2, 4, 8)
 PROGRAMS = scale(48)  # REPRO_BENCH_SCALE shrinks the nightly sweep
 OBJECTS = 64
 OP_DELAY = 0.0003
-STRIPE_COUNTS = (1, 2, 4, 8, 16, 32)
 
 
 def _sweep(op_delay, thetas):
@@ -107,7 +91,7 @@ def _shape_holds(rows) -> bool:
     def tput(system, threads):
         return next(r[4] for r in rows if r[2] == system and r[1] == threads)
 
-    for system in ("moss-rw", "moss-striped", "moss-single", "flat-2pl"):
+    for system in ("moss-rw", "moss-single", "flat-2pl"):
         best = max(tput(system, 4), tput(system, 8))
         global_best = max(tput("global-lock", 4), tput("global-lock", 8))
         if best <= global_best:
@@ -138,87 +122,3 @@ def test_e1_latency_dominated(benchmark):
     )
     assert all(row[3] == PROGRAMS for row in rows)
     assert _shape_holds(rows)
-
-
-def _striped_sweep(thetas=(0.0, 0.5), threads=8):
-    """Stripe-count sweep: the striped engine at every sharding factor,
-    with the global-latch engine (stripes=n/a) as the baseline row."""
-    rows = []
-    for theta in thetas:
-        config = WorkloadConfig(
-            objects=OBJECTS,
-            theta=theta,
-            shape="bushy",
-            groups=4,
-            ops_per_transaction=8,
-            programs=PROGRAMS,
-            seed=17,
-        )
-        programs = WorkloadGenerator(config).programs()
-
-        def one(db, label, stripes):
-            enable_metrics(db)
-            report = execute(
-                db, programs, threads=threads, op_delay=OP_DELAY, seed=17
-            )
-            certify_if_enabled(db)
-            rows.append(
-                {
-                    "system": label,
-                    "stripes": stripes,
-                    "theta": theta,
-                    "threads": threads,
-                    "committed": report.committed_programs,
-                    "throughput": round(report.throughput, 1),
-                    "goodput": round(report.goodput, 1),
-                    "p95_ms": round(report.latency_percentile(0.95) * 1000, 2),
-                    "lock_waits": report.db_stats.get("lock_waits", 0),
-                    "deadlocks": report.db_stats.get("deadlocks", 0),
-                    # Registry snapshot: lock-wait/commit latency
-                    # percentiles and per-stripe contention counters.
-                    "metrics": metrics_summary(report),
-                }
-            )
-
-        one(make_system("moss-rw", OBJECTS), "moss-rw", 0)
-        for stripes in STRIPE_COUNTS:
-            one(
-                make_striped_system(OBJECTS, stripes),
-                "moss-striped",
-                stripes,
-            )
-    return rows
-
-
-def test_e1_striped_stripe_sweep(benchmark):
-    rows = benchmark.pedantic(_striped_sweep, rounds=1, iterations=1)
-    table = Table(
-        [
-            "system",
-            "stripes",
-            "theta",
-            "threads",
-            "committed",
-            "throughput",
-            "goodput",
-            "p95_ms",
-            "lock_waits",
-            "deadlocks",
-        ]
-    )
-    for row in rows:
-        table.add_dict(row)
-    emit(
-        "E1c: striped lock manager — stripe-count sweep (8 threads)",
-        table,
-        notes=(
-            "stripes=0 is the global-latch engine.  Expected shape: more\n"
-            "stripes means fewer broadcast wakeups and less latch contention\n"
-            "until the stripe count saturates the object population."
-        ),
-    )
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    out = os.path.join(RESULTS_DIR, "BENCH_e1_striped.json")
-    with open(out, "w") as fh:
-        json.dump({"experiment": "e1-striped", "rows": rows}, fh, indent=2)
-    assert all(row["committed"] == PROGRAMS for row in rows)

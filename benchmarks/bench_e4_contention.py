@@ -2,12 +2,7 @@
 
 Fixed thread count, Zipf exponent swept from uniform to extreme skew.
 Expected shape: lock waits and deadlocks rise with skew for the locking
-systems; MVTO trades deadlocks for write rejections.  A second cell
-A/B-compares the striped lock manager against the global-latch engine at
-8 threads: with low skew the striped engine should match or beat the
-global latch (strictly beat it on the uncontended cell), because
-conflicting requests on different objects never share a mutex and
-commits wake only the waiters of the objects they release.
+systems; MVTO trades deadlocks for write rejections.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ PROGRAMS = scale(60)  # REPRO_BENCH_SCALE shrinks the nightly sweep
 def _sweep():
     rows = []
     for theta in THETAS:
-        for system in ("moss-rw", "moss-striped", "flat-2pl", "mvto"):
+        for system in ("moss-rw", "flat-2pl", "mvto"):
             report = run_cell(
                 system,
                 threads=6,
@@ -83,58 +78,3 @@ def test_e4_contention(benchmark):
     lo = sum(r["conflicts"] for r in rows if r["theta"] == 0.0)
     hi = sum(r["conflicts"] for r in rows if r["theta"] == 1.2)
     assert hi >= lo
-
-
-def _striped_vs_global(theta):
-    """Best-of-two throughput for each latch mode at 8 threads (wall
-    clocks on a shared machine are noisy; the max damps scheduler luck)."""
-    results = {}
-    for system in ("moss-rw", "moss-striped"):
-        best = 0.0
-        for _attempt in range(2):
-            report = run_cell(
-                system,
-                threads=8,
-                op_delay=0.0002,
-                objects=64,
-                theta=theta,
-                shape="bushy",
-                groups=4,
-                ops_per_transaction=8,
-                programs=PROGRAMS,
-                seed=23,
-            )
-            assert report.committed_programs == PROGRAMS
-            best = max(best, report.throughput)
-        results[system] = best
-    return results
-
-
-def test_e4_striped_vs_global_low_skew(benchmark):
-    cells = benchmark.pedantic(
-        lambda: {theta: _striped_vs_global(theta) for theta in (0.0, 0.5)},
-        rounds=1,
-        iterations=1,
-    )
-    table = Table(["theta", "global txn/s", "striped txn/s", "ratio"])
-    for theta, result in cells.items():
-        table.add_row(
-            theta,
-            round(result["moss-rw"], 1),
-            round(result["moss-striped"], 1),
-            round(result["moss-striped"] / result["moss-rw"], 2),
-        )
-    emit(
-        "E4b: striped vs global latch, 8 threads, low skew",
-        table,
-        notes="Targeted wakeups + stripe sharding vs one broadcast latch.",
-    )
-    # Uncontended cell: the striped engine must strictly beat the global
-    # latch; retry the cell once before declaring the shape broken.
-    uncontended = cells[0.0]
-    if uncontended["moss-striped"] <= uncontended["moss-rw"]:
-        uncontended = _striped_vs_global(0.0)
-    assert uncontended["moss-striped"] > uncontended["moss-rw"]
-    # Low-skew cell: striped at least holds the line (10% noise budget).
-    low_skew = cells[0.5]
-    assert low_skew["moss-striped"] >= 0.9 * low_skew["moss-rw"]

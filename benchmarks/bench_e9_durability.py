@@ -87,7 +87,6 @@ def _run_variants():
             db = NestedTransactionDB(
                 initial_values(OBJECTS),
                 config=certify_config(
-                    latch_mode="striped",
                     record_trace=False,
                     durability=durability,
                 ),

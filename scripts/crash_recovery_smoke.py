@@ -2,7 +2,7 @@
 """CI crash-recovery smoke: kill durable workers, recover, write a report.
 
 Runs the crash-restart harness (``repro.durability.crashtest``) across a
-small matrix of latch modes and sync policies, collects each scenario's
+small matrix of sync and checkpoint policies, collects each scenario's
 :class:`CrashReport`, and writes the whole batch as JSON (default
 ``crash_recovery_report.json``, override with ``--out``) so CI can upload
 it as an artifact.  Exits nonzero when any scenario violates the
@@ -27,11 +27,9 @@ sys.path.insert(
 from repro.durability.crashtest import run_crash_recovery_scenario  # noqa: E402
 
 SCENARIOS = [
-    {"latch": "global", "sync": "commit", "seed": 11},
-    {"latch": "striped", "sync": "commit", "seed": 12},
-    {"latch": "striped", "sync": "group", "seed": 13},
-    {"latch": "global", "sync": "commit", "seed": 14, "checkpoint_interval": 20,
-     "min_acks": 60},
+    {"sync": "commit", "seed": 11},
+    {"sync": "group", "seed": 13},
+    {"sync": "commit", "seed": 14, "checkpoint_interval": 20, "min_acks": 60},
 ]
 
 
@@ -69,8 +67,7 @@ def main(argv=None):
                 "trace_dump",
                 os.path.join(
                     args.trace_dir,
-                    "scenario%d_%s_%s.trace.jsonl"
-                    % (index, scenario["latch"], scenario["sync"]),
+                    "scenario%d_%s.trace.jsonl" % (index, scenario["sync"]),
                 ),
             )
         with tempfile.TemporaryDirectory(prefix="crash-smoke-") as directory:
@@ -80,17 +77,16 @@ def main(argv=None):
                 entry = report.as_dict()
             except RuntimeError as error:  # harness problem, not a verdict
                 entry = {"ok": False, "failures": ["harness: %s" % error]}
-                entry.update({"latch": params["latch"], "sync": params["sync"]})
+                entry["sync"] = params["sync"]
             entry["scenario"] = scenario
             entry["seconds"] = round(time.monotonic() - start, 3)
         results.append(entry)
         status = "ok" if entry["ok"] else "FAIL"
         print(
-            "[%s] latch=%-7s sync=%-6s acked=%s recovered=%s replayed=%s "
+            "[%s] sync=%-6s acked=%s recovered=%s replayed=%s "
             "ckpt=%s (%.1fs)"
             % (
                 status,
-                entry.get("latch"),
                 entry.get("sync"),
                 entry.get("acked_commits", "?"),
                 entry.get("recovered_total", "?"),

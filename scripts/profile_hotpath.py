@@ -8,7 +8,6 @@ time.  Use it to answer "where does a transaction's latency actually
 go?" before and after touching the hot path::
 
     PYTHONPATH=src python scripts/profile_hotpath.py
-    PYTHONPATH=src python scripts/profile_hotpath.py --latch-mode striped
     PYTHONPATH=src python scripts/profile_hotpath.py --no-trace --sort tottime
     PYTHONPATH=src python scripts/profile_hotpath.py --certified
 
@@ -45,7 +44,6 @@ def run_workload(
     txns: int,
     ops: int,
     objects: int,
-    latch_mode: str,
     trace: bool,
     nested: bool,
     seed: int = 42,
@@ -53,7 +51,7 @@ def run_workload(
     from repro.engine import EngineConfig, NestedTransactionDB
 
     initial = {"x%d" % i: 0 for i in range(objects)}
-    db = NestedTransactionDB(initial, config=EngineConfig(latch_mode=latch_mode, record_trace=trace))
+    db = NestedTransactionDB(initial, config=EngineConfig(record_trace=trace))
     rng = random.Random(seed)
     names = list(initial)
     for _ in range(txns):
@@ -169,9 +167,6 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=16, help="ops per txn")
     parser.add_argument("--objects", type=int, default=64)
     parser.add_argument(
-        "--latch-mode", choices=("global", "striped"), default="global"
-    )
-    parser.add_argument(
         "--no-trace", action="store_true", help="disable trace recording"
     )
     parser.add_argument(
@@ -184,7 +179,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="profile the spine's nested shape under the streaming "
         "certifier and count interning calls per record "
-        "(ignores --ops/--latch-mode/--no-trace/--nested)",
+        "(ignores --ops/--no-trace/--nested)",
     )
     parser.add_argument(
         "--sort",
@@ -212,7 +207,6 @@ def main(argv=None) -> int:
             args.txns,
             args.ops,
             args.objects,
-            args.latch_mode,
             not args.no_trace,
             args.nested,
         )
@@ -227,11 +221,10 @@ def main(argv=None) -> int:
         )
     else:
         print(
-            "hot path profile: %d txns x %d ops, latch=%s trace=%s nested=%s"
+            "hot path profile: %d txns x %d ops, trace=%s nested=%s"
             % (
                 args.txns,
                 args.ops,
-                args.latch_mode,
                 not args.no_trace,
                 args.nested,
             )

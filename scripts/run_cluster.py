@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Run a scenario on the sharded multi-process cluster and judge it.
 
-Each shard is a real OS process running the full engine stack (striped
-lock manager + per-shard WAL); the coordinator drives cross-shard 2PC,
+Each shard is a real OS process running the full engine stack (engine +
+per-shard WAL); the coordinator drives cross-shard 2PC,
 replicates the scenario's ledger counters with available-copies
 semantics, and (unless ``--uncertified``) merges every shard's trace
 stream and certifies it with both the streaming certifier and the

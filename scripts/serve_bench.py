@@ -2,8 +2,7 @@
 """CI saturation smoke: one serve-layer cell, streaming-certified, with
 a calibrated regression gate against the committed E15 artifact.
 
-Runs a single cell (default: the async front-end, global latch, 1k
-sessions) via :mod:`repro.serve.loadgen` — the exact code path behind
+Runs a single cell (default: the async front-end, 1k sessions) via :mod:`repro.serve.loadgen` — the exact code path behind
 ``benchmarks/bench_e15_saturation.py`` — and gates on *calibrated*
 committed txn/s: the measured rate multiplied by this machine's trivial
 Python loop cost (ns/iteration), which cancels raw CPU speed the same
@@ -48,15 +47,17 @@ def calibrated_rate(cell: dict, loop_ns: float) -> float:
     return float(cell.get("committed_per_s", 0.0)) * loop_ns
 
 
-def find_baseline_cell(doc: dict, driver: str, mode: str) -> dict | None:
-    """The committed cell to gate against: same driver and latch mode,
-    smallest session count at or above the smoke size (the committed
-    sweep starts at 1k — CI's smoke cell)."""
+def find_baseline_cell(doc: dict, driver: str) -> dict | None:
+    """The committed cell to gate against: same driver, smallest session
+    count at or above the smoke size (the committed sweep starts at 1k —
+    CI's smoke cell).  The committed artifact predates the single-latch
+    engine and carries one row per latch mode; the global rows are the
+    engine that survived."""
     candidates = [
         c
         for c in doc.get("cells", [])
         if c.get("driver") == driver
-        and c.get("latch_mode") == mode
+        and c.get("latch_mode", "global") == "global"
         and not c.get("error")
     ]
     if not candidates:
@@ -68,7 +69,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sessions", type=int, default=1000)
     parser.add_argument("--driver", choices=("async", "threaded"), default="async")
-    parser.add_argument("--mode", choices=("global", "striped"), default="global")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--max-batch", type=int, default=128)
     parser.add_argument(
@@ -106,18 +106,15 @@ def main(argv=None) -> int:
     try:
         if args.driver == "async":
             cell = run_async_cell(
-                args.mode,
                 sessions=args.sessions,
                 workers=args.workers,
                 max_batch=args.max_batch,
                 certify=certify,
             )
         else:
-            cell = run_threaded_cell(
-                args.mode, sessions=args.sessions, certify=certify
-            )
+            cell = run_threaded_cell(sessions=args.sessions, certify=certify)
     except Exception as error:  # certification/engine verdicts fail the job
-        cell = {"driver": args.driver, "latch_mode": args.mode}
+        cell = {"driver": args.driver}
         failures.append("run failed: %r" % (error,))
 
     report = {
@@ -134,12 +131,11 @@ def main(argv=None) -> int:
         if certify and not cell.get("certified"):
             failures.append("cell ran uncertified")
         if baseline_doc is not None:
-            base_cell = find_baseline_cell(baseline_doc, args.driver, args.mode)
+            base_cell = find_baseline_cell(baseline_doc, args.driver)
             base_ns = baseline_doc.get("calibration_loop_ns")
             if base_cell is None or not base_ns:
                 failures.append(
-                    "baseline lacks a %s/%s cell with calibration"
-                    % (args.driver, args.mode)
+                    "baseline lacks a %s cell with calibration" % args.driver
                 )
             else:
                 base = calibrated_rate(base_cell, float(base_ns))

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""CI smoke benchmark: a down-scaled E1 cell in both latch modes.
+"""CI smoke benchmark: a down-scaled E1 cell.
 
-Runs in seconds, not minutes.  For each ``latch_mode`` the same workload
-executes with trace recording on; the run then must
+Runs in seconds, not minutes.  The workload executes with trace
+recording on; the run then must
 
 * commit every program,
 * pass the serializability oracle **and** the level-2 trace-conformance
@@ -11,15 +11,14 @@ executes with trace recording on; the run then must
 
 The JSON summary (throughput, conflict counters, oracle verdicts) is
 written to ``--out`` for upload as a workflow artifact.  Exit status is
-non-zero if any mode fails its checks — in particular, if the striped
-engine's trace replay fails, CI fails.
+non-zero if the cell fails its checks — in particular, if the engine's
+trace replay fails, CI fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.checker import OracleViolation, check_engine
@@ -27,18 +26,16 @@ from repro.engine import EngineConfig, NestedTransactionDB, TraceBusBridge
 from repro.obs import JsonlFileSink
 from repro.workload import WorkloadConfig, WorkloadGenerator, execute, initial_values
 
-MODES = ("global", "striped")
 OBJECTS = 32  # the CI streaming gate passes --objects 32 to certify_stream
 
 
-def run_mode(
-    latch_mode: str,
+def run_cell(
     threads: int,
     programs: int,
     metrics_jsonl=None,
     certify: bool = False,
 ) -> dict:
-    db = NestedTransactionDB(initial_values(OBJECTS), config=EngineConfig(latch_mode=latch_mode, record_trace=True, certify="streaming" if certify else None))
+    db = NestedTransactionDB(initial_values(OBJECTS), config=EngineConfig(record_trace=True, certify="streaming" if certify else None))
     if metrics_jsonl is not None:
         db.metrics.enable()
         db.events.attach(JsonlFileSink(metrics_jsonl))
@@ -62,8 +59,6 @@ def run_mode(
         seed=7,
     )
     summary = {
-        "latch_mode": latch_mode,
-        "stripes": db.stripe_count,
         "committed_programs": report.committed_programs,
         "programs": programs,
         "throughput": round(report.throughput, 1),
@@ -132,59 +127,43 @@ def main(argv=None) -> int:
         "--with-metrics",
         action="store_true",
         help="enable the metrics registry, stream engine events (and the "
-        "full trace) to per-mode JSONL files derived from --metrics-out, "
-        "and fail if any event sink raised",
+        "full trace) to the --metrics-out JSONL file, and fail if any "
+        "event sink raised",
     )
     parser.add_argument(
         "--metrics-out",
         default="smoke_metrics.jsonl",
-        help="base name for the per-mode event streams; smoke_metrics.jsonl "
-        "becomes smoke_metrics.global.jsonl and smoke_metrics.striped.jsonl",
+        help="the JSONL event stream written by --with-metrics",
     )
     parser.add_argument(
         "--certify",
         action="store_true",
-        help="run the streaming certifier live on each mode's trace and "
+        help="run the streaming certifier live on the cell's trace and "
         "fail unless it certifies AND agrees with the offline oracle",
     )
     args = parser.parse_args(argv)
 
-    summaries = []
-    for mode in MODES:
-        metrics_fh = None
-        if args.with_metrics:
-            # One stream per mode: each engine starts from the same zero
-            # population, so each file certifies independently against
-            # ``--objects 32`` (concatenating them would replay mode 2
-            # against mode 1's final values).
-            base, ext = os.path.splitext(args.metrics_out)
-            metrics_fh = open(
-                "%s.%s%s" % (base, mode, ext or ".jsonl"), "w", encoding="utf-8"
-            )
-        try:
-            summaries.append(
-                run_mode(mode, args.threads, args.programs, metrics_fh, args.certify)
-            )
-        finally:
-            if metrics_fh is not None:
-                metrics_fh.close()
-    result = {"experiment": "ci-smoke-e1", "modes": summaries}
+    metrics_fh = None
+    if args.with_metrics:
+        metrics_fh = open(args.metrics_out, "w", encoding="utf-8")
+    try:
+        summary = run_cell(args.threads, args.programs, metrics_fh, args.certify)
+    finally:
+        if metrics_fh is not None:
+            metrics_fh.close()
     with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
+        json.dump({"experiment": "ci-smoke-e1", "cell": summary}, fh, indent=2)
 
-    for summary in summaries:
-        status = "ok" if summary["ok"] else "FAILED"
-        line = "%-8s %-7s %6.1f txn/s  oracle=%s quiescent=%s" % (
-            summary["latch_mode"],
-            status,
-            summary["throughput"],
-            summary.get("oracle_ok"),
-            summary.get("quiescent"),
-        )
-        if "streaming_ok" in summary:
-            line += " streaming=%s" % summary["streaming_ok"]
-        print(line)
-    if not all(summary["ok"] for summary in summaries):
+    line = "%-7s %6.1f txn/s  oracle=%s quiescent=%s" % (
+        "ok" if summary["ok"] else "FAILED",
+        summary["throughput"],
+        summary.get("oracle_ok"),
+        summary.get("quiescent"),
+    )
+    if "streaming_ok" in summary:
+        line += " streaming=%s" % summary["streaming_ok"]
+    print(line)
+    if not summary["ok"]:
         print("smoke benchmark FAILED; see %s" % args.out, file=sys.stderr)
         return 1
     print("smoke benchmark passed; summary written to %s" % args.out)

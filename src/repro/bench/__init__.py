@@ -7,7 +7,6 @@ from .harness import (
     certify_config,
     certify_mode,
     enable_metrics,
-    make_striped_system,
     make_system,
     metrics_summary,
     run_cell,
@@ -24,7 +23,6 @@ __all__ = [
     "certify_mode",
     "emit",
     "enable_metrics",
-    "make_striped_system",
     "make_system",
     "metrics_summary",
     "run_cell",

@@ -72,9 +72,6 @@ def _nested(init: Dict[str, Any], **kwargs: Any) -> NestedTransactionDB:
 #: The systems compared throughout E1-E7, by short name.
 SYSTEMS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "moss-rw": lambda init: _nested(init, record_trace=False),
-    "moss-striped": lambda init: _nested(
-        init, latch_mode="striped", record_trace=False
-    ),
     "moss-single": lambda init: _nested(
         init, single_mode=True, record_trace=False
     ),
@@ -113,21 +110,6 @@ def enable_metrics(db: Any) -> bool:
         return False
     registry.enable()
     return True
-
-
-def make_striped_system(
-    objects: int, stripes: int, record_trace: bool = False, **kwargs: Any
-) -> NestedTransactionDB:
-    """A striped-latch engine with an explicit stripe count — the
-    stripe-count sweeps build their systems here instead of via
-    :data:`SYSTEMS` so the sharding factor is a benchmark axis."""
-    return _nested(
-        initial_values(objects),
-        latch_mode="striped",
-        stripes=stripes,
-        record_trace=record_trace,
-        **kwargs,
-    )
 
 
 @dataclass
@@ -178,13 +160,12 @@ def run_cell(
 
 def metrics_summary(report: ExecutionReport) -> Dict[str, Any]:
     """The compact metrics block benchmark JSON artifacts embed per cell:
-    lock-wait and commit latency percentiles plus per-stripe contention
-    counters.  Empty dict when the cell ran without metrics."""
+    lock-wait and commit latency percentiles.  Empty dict when the cell
+    ran without metrics."""
     snapshot = report.metrics
     if not snapshot:
         return {}
     histograms = snapshot.get("histograms", {})
-    counters = snapshot.get("counters", {})
     summary: Dict[str, Any] = {}
     for key in ("engine_lock_wait_seconds", "engine_commit_seconds"):
         data = histograms.get(key)
@@ -195,11 +176,4 @@ def metrics_summary(report: ExecutionReport) -> Dict[str, Any]:
                 "p95": data["p95"],
                 "p99": data["p99"],
             }
-    contention = {
-        name: value
-        for name, value in counters.items()
-        if name.startswith("engine_stripe_contention_total") and value
-    }
-    if contention:
-        summary["stripe_contention"] = contention
     return summary

@@ -2,8 +2,8 @@
 
 The :mod:`repro.distributed` package simulates the paper's Section 9
 distributed algebra in one process; this package *deploys* it.  Each
-shard is a real OS process running the existing engine stack (striped
-lock manager + per-shard WAL), a coordinator drives cross-shard
+shard is a real OS process running the existing engine stack (engine +
+per-shard WAL), a coordinator drives cross-shard
 top-level commit with 2PC layered on the paper's Send/Receive message
 vocabulary, and replicated objects get available-copies semantics:
 site failure marks copies stale, recovery re-syncs them from a fresh

@@ -1,7 +1,7 @@
 """Object -> shard routing and copy naming for the cluster.
 
-The same crc32 sharding the striped lock manager uses per-stripe is
-reused per-*site*: a single-site object lives on ``crc32(obj) % shards``
+Objects shard by crc32 (not ``hash``, so placement is stable across
+processes): a single-site object lives on ``crc32(obj) % shards``
 and a replicated object (matched by prefix — ledgers like ``bank:fees``)
 has one copy per site.  In the merged trace every physical copy is its
 own level-1 object, named ``obj@site``; one-copy equivalence is then a

@@ -2,7 +2,7 @@
 
 ``shard_main`` is the process entry point (spawned with ``python -c``,
 the same pattern as :mod:`repro.durability.crashtest`).  It builds a
-striped-latch :class:`~repro.engine.NestedTransactionDB` over the
+:class:`~repro.engine.NestedTransactionDB` over the
 site's slice of the initial store — with its own per-segment WAL when
 durability is on, so a revived site recovers its committed state through
 :class:`~repro.durability.recovery.RecoveryManager` before serving — and
@@ -114,7 +114,6 @@ class ShardServer:
         self.db = NestedTransactionDB(
             initial,
             config=EngineConfig(
-                latch_mode="striped",
                 record_trace=record_trace,
                 lock_timeout=lock_timeout,
                 durability=durability,

@@ -74,7 +74,6 @@ def worker_main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--objects", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sync", default="commit")
-    parser.add_argument("--latch", default="global")
     parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--checkpoint-interval", type=int, default=0)
     parser.add_argument("--abort-prob", type=float, default=0.2)
@@ -87,7 +86,7 @@ def worker_main(argv: Optional[List[str]] = None) -> None:
         group_window=0.001,
         checkpoint_interval=args.checkpoint_interval,
     )
-    db = NestedTransactionDB({name: 0 for name in names}, config=EngineConfig(latch_mode=args.latch, durability=manager, record_trace=False, lock_timeout=5.0))
+    db = NestedTransactionDB({name: 0 for name in names}, config=EngineConfig(durability=manager, record_trace=False, lock_timeout=5.0))
     ack_lock = threading.Lock()
     ack_fh = open(os.path.join(args.dir, ACK_FILE), "a", encoding="utf-8")
 
@@ -140,7 +139,6 @@ def spawn_worker(
     objects: int = 8,
     seed: int = 0,
     sync: str = "commit",
-    latch: str = "global",
     threads: int = 2,
     checkpoint_interval: int = 0,
 ) -> "subprocess.Popen[bytes]":
@@ -167,8 +165,6 @@ def spawn_worker(
             str(seed),
             "--sync",
             sync,
-            "--latch",
-            latch,
             "--threads",
             str(threads),
             "--checkpoint-interval",
@@ -203,7 +199,6 @@ class CrashReport:
     #: Verdict of the live streaming certifier over the post-recovery
     #: trace (None when the scenario ran with ``certify=None``).
     streaming_ok: Optional[bool] = None
-    latch: str = "global"
     sync: str = "commit"
 
     def fail(self, message: str) -> None:
@@ -228,7 +223,6 @@ def run_crash_recovery_scenario(
     objects: int = 8,
     seed: int = 0,
     sync: str = "commit",
-    latch: str = "global",
     threads: int = 2,
     checkpoint_interval: int = 0,
     min_acks: int = 30,
@@ -255,7 +249,7 @@ def run_crash_recovery_scenario(
     from .manager import DurabilityManager
     from .recovery import RecoveryManager
 
-    report = CrashReport(latch=latch, sync=sync)
+    report = CrashReport(sync=sync)
     names = _object_names(objects)
     initial = {name: 0 for name in names}
 
@@ -264,7 +258,6 @@ def run_crash_recovery_scenario(
         objects=objects,
         seed=seed,
         sync=sync,
-        latch=latch,
         threads=threads,
         checkpoint_interval=checkpoint_interval,
     )
@@ -307,7 +300,7 @@ def run_crash_recovery_scenario(
     if first.values != second.values:
         report.fail("recovery is not deterministic across replays")
 
-    db = NestedTransactionDB(initial, config=EngineConfig(latch_mode=latch, durability=DurabilityManager(directory, sync_policy=sync), record_trace=True, certify=certify))
+    db = NestedTransactionDB(initial, config=EngineConfig(durability=DurabilityManager(directory, sync_policy=sync), record_trace=True, certify=certify))
     recovery = db.durability.last_recovery
     report.commits_replayed = recovery.commits_replayed
     report.records_discarded = recovery.records_discarded

@@ -392,31 +392,20 @@ class WriteAheadLog:
         with self._lock:
             if self._fh is None:
                 raise ValueError("write-ahead log is closed")
+            # Encode every frame before consuming an LSN: a value the
+            # codec rejects raises here with the log untouched, so a
+            # failed append never leaves a gap in the LSN sequence.
+            lsn = self._next_lsn
             chunks = []
-            for obj in sorted(writes):
-                lsn = self._next_lsn
-                self._next_lsn += 1
-                chunks.append(
-                    _encode_frame(
-                        {"t": WRITE, "l": lsn, "x": path, "o": obj, "v": writes[obj]}
+            for kind, values in ((WRITE, writes), (INCREMENT, deltas)):
+                for obj in sorted(values):
+                    chunks.append(
+                        _encode_frame(
+                            {"t": kind, "l": lsn, "x": path, "o": obj, "v": values[obj]}
+                        )
                     )
-                )
-            for obj in sorted(deltas):
-                lsn = self._next_lsn
-                self._next_lsn += 1
-                chunks.append(
-                    _encode_frame(
-                        {
-                            "t": INCREMENT,
-                            "l": lsn,
-                            "x": path,
-                            "o": obj,
-                            "v": deltas[obj],
-                        }
-                    )
-                )
-            commit_lsn = self._next_lsn
-            self._next_lsn += 1
+                    lsn += 1
+            commit_lsn = lsn
             chunks.append(
                 _encode_frame(
                     {
@@ -427,6 +416,7 @@ class WriteAheadLog:
                     }
                 )
             )
+            self._next_lsn = commit_lsn + 1
             blob = b"".join(chunks)
             self._fh.write(blob)
             self._fh.flush()  # into the OS; fsync is sync()'s job

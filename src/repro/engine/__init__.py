@@ -2,13 +2,11 @@
 deadlock handling, failure injection, observability (see ``repro.obs``),
 and oracle-ready trace recording.
 
-The canonical construction surface is ``NestedTransactionDB(initial,
-config=EngineConfig(...))``; the historical loose keyword arguments still
-work behind a :class:`DeprecationWarning` shim (``docs/api_migration.md``
-has the mapping)."""
+The construction surface is ``NestedTransactionDB(initial,
+config=EngineConfig(...))``."""
 
 from ..obs import STATS_KEYS, EventBus, MetricsRegistry, ObservableStats
-from .config import GLOBAL, STRIPED, EngineConfig
+from .config import EngineConfig
 from .database import NestedTransactionDB
 from .deadlock import BLOCKER, REQUESTER, YOUNGEST, WaitsForGraph, choose_victim
 from .errors import (
@@ -20,17 +18,7 @@ from .errors import (
     TransactionAborted,
     UnknownObject,
 )
-from .locks import (
-    DEFAULT_STRIPES,
-    INCREMENT,
-    READ,
-    WRITE,
-    LockMode,
-    LockStripe,
-    ObjectLocks,
-    StripedLockTable,
-    stripe_index,
-)
+from .locks import INCREMENT, READ, WRITE, LockMode, ObjectLocks
 from .recovery import (
     FailureInjector,
     InjectedFailure,
@@ -45,18 +33,15 @@ from .transaction import Outcome, Transaction
 __all__ = [
     "BLOCKER",
     "DEFAULT_RETRY_POLICY",
-    "DEFAULT_STRIPES",
     "DeadlockAbort",
     "EngineConfig",
     "EngineError",
     "EventBus",
     "FailureInjector",
-    "GLOBAL",
     "INCREMENT",
     "InjectedFailure",
     "InvalidTransactionState",
     "LockMode",
-    "LockStripe",
     "LockTimeout",
     "MetricsRegistry",
     "NestedTransactionDB",
@@ -68,8 +53,6 @@ __all__ = [
     "ReadOnlyViolation",
     "RetryPolicy",
     "STATS_KEYS",
-    "STRIPED",
-    "StripedLockTable",
     "TraceBusBridge",
     "TraceRecord",
     "TraceRecorder",
@@ -84,5 +67,4 @@ __all__ = [
     "choose_victim",
     "recovery_block",
     "retry_subtransaction",
-    "stripe_index",
 ]

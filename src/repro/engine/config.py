@@ -1,16 +1,14 @@
-"""Engine configuration: the canonical constructor surface.
+"""Engine configuration: the constructor surface.
 
 :class:`EngineConfig` gathers every :class:`~repro.engine.NestedTransactionDB`
 policy knob into one frozen dataclass::
 
     db = NestedTransactionDB(initial, config=EngineConfig(
-        latch_mode="striped", stripes=32, record_trace=False,
+        record_trace=False, lock_timeout=2.0,
     ))
 
-The historical loose keyword arguments (``NestedTransactionDB(initial,
-latch_mode="striped", ...)``) still work through a compatibility shim that
-converts them to a config and emits a :class:`DeprecationWarning`; see
-``docs/api_migration.md``.
+It is the only way to configure an engine: the constructor takes no loose
+keyword arguments.
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .deadlock import BLOCKER
-from .locks import DEFAULT_STRIPES
-
-GLOBAL = "global"
-STRIPED = "striped"
 
 
 @dataclass(frozen=True)
@@ -33,8 +27,7 @@ class EngineConfig:
     The fields mirror the axes documented on
     :class:`~repro.engine.NestedTransactionDB`: locking behaviour
     (``single_mode``, ``deadlock_policy``, ``detect_deadlocks``,
-    ``lock_timeout``, ``lazy_lock_cleanup``), the latch architecture
-    (``latch_mode``, ``stripes``), tracing and certification
+    ``lock_timeout``, ``lazy_lock_cleanup``), tracing and certification
     (``record_trace``, ``certify``), durability (a directory path or a
     ``DurabilityManager``), and injectable observability collaborators
     (``metrics``, ``events``).
@@ -46,19 +39,12 @@ class EngineConfig:
     lock_timeout: float = 10.0
     lazy_lock_cleanup: bool = False
     record_trace: bool = True
-    latch_mode: str = GLOBAL
-    stripes: int = DEFAULT_STRIPES
     metrics: Optional[Any] = None
     events: Optional[Any] = None
     durability: Optional[Any] = None
     certify: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.latch_mode not in (GLOBAL, STRIPED):
-            raise ValueError(
-                "latch_mode must be %r or %r, got %r"
-                % (GLOBAL, STRIPED, self.latch_mode)
-            )
         if self.certify is not None:
             if self.certify != "streaming":
                 raise ValueError(
@@ -73,9 +59,3 @@ class EngineConfig:
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-
-#: The loose-kwarg names the deprecated constructor shim still accepts.
-LEGACY_CONFIG_KWARGS = tuple(
-    field.name for field in dataclasses.fields(EngineConfig)
-)

@@ -8,12 +8,12 @@ Victim policies: the *requester* (simple, always makes progress), the
 ancestors), or the first non-ancestor *blocker* on the chain (the
 default — releases exactly what the requester needs).
 
-The graph carries its own small mutex, so it is shared safely between the
-engine's latch modes: under the global latch it is redundant but cheap;
-under the striped lock manager waiters registering from different stripes
-serialize here, and :meth:`WaitsForGraph.find_cycle_from` runs its whole
-traversal inside one lock hold — cycle detection always sees a consistent
-cross-stripe snapshot of who waits for whom.
+The graph carries its own small mutex — a leaf below the engine latch.
+The engine registers and sweeps edges under that latch; the mutex exists
+for the callers that do not hold it (``cancel_waits`` from the serve
+layer, the edge-count gauge) and keeps
+:meth:`WaitsForGraph.find_cycle_from` a traversal of one consistent
+snapshot.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class WaitsForGraph:
     """waiter → blockers; edges exist only while a request is blocked.
 
     Thread-safe: every method takes the graph's own lock, which is a leaf
-    in the engine's lock order (it is acquired while holding a stripe
-    mutex or the metadata latch, and never the other way around).
+    in the engine's lock order (it is acquired while holding the engine
+    latch, and never the other way around).
     """
 
     def __init__(self) -> None:
@@ -142,7 +142,7 @@ class WaitsForGraph:
 
         Returns the blocking chain, ``start`` first.  The traversal runs
         under the graph lock, so the cycle is judged against one
-        consistent snapshot even while other stripes mutate edges.
+        consistent snapshot.
         """
         registry = self._registry
         if registry is not None and registry.enabled:

@@ -24,19 +24,8 @@ algebra for conformance checking.
 
 from __future__ import annotations
 
-import threading
-import zlib
-from contextlib import contextmanager
 from enum import Enum
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-)
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence
 
 from ..core.naming import ActionName
 
@@ -63,26 +52,12 @@ class LockMode(str, Enum):
         """Whether two holders in this mode are compatible."""
         return self is not LockMode.WRITE
 
-#: Default stripe count for :class:`StripedLockTable` (a power of two so
-#: the modulo spreads crc32 output evenly).
-DEFAULT_STRIPES = 16
-
 #: Shared no-conflict result.  ``conflicts_with`` runs on every data
 #: access, and the overwhelmingly common outcome is "no conflict" — so
 #: that path must not allocate.  Callers treat the result as read-only
 #: (the engine only iterates it or hands it to ``WaitsForGraph``, which
 #: copies); it compares equal to ``[]`` for the existing call sites.
 _NO_CONFLICTS: List[ActionName] = []
-
-
-def stripe_index(obj: str, n_stripes: int) -> int:
-    """Deterministic stripe assignment for an object key.
-
-    crc32 (not ``hash``) so the placement is stable across processes and
-    ``PYTHONHASHSEED`` values — benchmark sweeps and trace replays see the
-    same sharding run to run.
-    """
-    return zlib.crc32(obj.encode("utf-8")) % n_stripes
 
 
 class ObjectLocks:
@@ -175,139 +150,3 @@ class ObjectLocks:
             "%r:%s" % (t, m[0]) for t, m in sorted(self.holders.items())
         )
         return "ObjectLocks{%s}" % parts
-
-
-class LockStripe:
-    """One shard of the striped lock table.
-
-    The stripe mutex guards the :class:`ObjectLocks` tables and version
-    stacks of every object hashed to the stripe, plus the stripe-local
-    counters.  Blocked requests park on a *per-object* condition variable
-    built over the stripe mutex, so releasing a lock on one object wakes
-    only the transactions actually waiting on that object — never the
-    whole engine.
-    """
-
-    __slots__ = (
-        "index",
-        "mutex",
-        "locks",
-        "object_waits",
-        "reads",
-        "writes",
-        "increments",
-        "snapshot_reads",
-        "lock_waits",
-        "lazy_lock_reaps",
-        "_conditions",
-    )
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.mutex = threading.Lock()
-        self.locks: Dict[str, ObjectLocks] = {}
-        self._conditions: Dict[str, threading.Condition] = {}
-        self.object_waits: Dict[str, int] = {}
-        self.reads = 0
-        self.writes = 0
-        self.increments = 0
-        self.snapshot_reads = 0
-        self.lock_waits = 0
-        self.lazy_lock_reaps = 0
-
-    def condition(self, obj: str) -> threading.Condition:
-        """The wait queue for ``obj`` (created on first block)."""
-        cond = self._conditions.get(obj)
-        if cond is None:
-            cond = self._conditions[obj] = threading.Condition(self.mutex)
-        return cond
-
-    def notify_object(self, obj: str) -> None:
-        """Wake every waiter parked on ``obj`` (stripe mutex must be
-        held).  A no-op if nothing ever blocked on the object."""
-        cond = self._conditions.get(obj)
-        if cond is not None:
-            cond.notify_all()
-
-    def __repr__(self) -> str:
-        return "LockStripe(%d, %d objects)" % (self.index, len(self.locks))
-
-
-class StripedLockTable:
-    """The engine's lock table sharded into :class:`LockStripe` s.
-
-    Objects hash onto stripes via :func:`stripe_index`; requests on
-    objects in different stripes never touch the same mutex.  Operations
-    spanning several objects (commit-time lock inheritance, subtree
-    abort) take every involved stripe with :meth:`locked` — a two-phase
-    acquire in ascending stripe order, so concurrent multi-stripe
-    sections cannot deadlock against each other.
-    """
-
-    def __init__(
-        self, objects: Iterable[str], n_stripes: int = DEFAULT_STRIPES
-    ) -> None:
-        count = int(n_stripes)
-        if count < 1:
-            raise ValueError("n_stripes must be >= 1, got %r" % n_stripes)
-        self.stripes: List[LockStripe] = [LockStripe(i) for i in range(count)]
-        self._by_object: Dict[str, LockStripe] = {}
-        for obj in objects:
-            self.add_object(obj)
-
-    def add_object(self, obj: str) -> LockStripe:
-        stripe = self.stripes[stripe_index(obj, len(self.stripes))]
-        stripe.locks[obj] = ObjectLocks()
-        stripe.object_waits[obj] = 0
-        self._by_object[obj] = stripe
-        return stripe
-
-    def __contains__(self, obj: str) -> bool:
-        return obj in self._by_object
-
-    def stripe_of(self, obj: str) -> LockStripe:
-        return self._by_object[obj]
-
-    def locks_of(self, obj: str) -> ObjectLocks:
-        return self._by_object[obj].locks[obj]
-
-    def stripes_for(self, objects: Iterable[str]) -> List[LockStripe]:
-        """The distinct stripes covering ``objects``, ascending by index
-        (the canonical acquisition order)."""
-        seen: Dict[int, LockStripe] = {}
-        for obj in objects:
-            stripe = self._by_object[obj]
-            seen[stripe.index] = stripe
-        return [seen[i] for i in sorted(seen)]
-
-    @contextmanager
-    def locked(self, objects: Iterable[str]) -> Iterator[List[LockStripe]]:
-        """Two-phase multi-stripe critical section: acquire every stripe
-        covering ``objects`` in ascending index order, yield, release in
-        reverse order."""
-        stripes = self.stripes_for(objects)
-        for stripe in stripes:
-            stripe.mutex.acquire()
-        try:
-            yield stripes
-        finally:
-            for stripe in reversed(stripes):
-                stripe.mutex.release()
-
-    @contextmanager
-    def locked_all(self) -> Iterator[None]:
-        """Acquire every stripe (whole-table snapshots and quiescence
-        checks)."""
-        for stripe in self.stripes:
-            stripe.mutex.acquire()
-        try:
-            yield
-        finally:
-            for stripe in reversed(self.stripes):
-                stripe.mutex.release()
-
-    def __repr__(self) -> str:
-        return "StripedLockTable(%d stripes, %d objects)" % (
-            len(self.stripes),
-            len(self._by_object),
-        )

@@ -189,8 +189,8 @@ class VersionStack:
 
     def value_at(self, horizon: int) -> Value:
         """The committed value as of ``horizon``: the newest committed
-        version whose stamp is <= the horizon (lock-free snapshot read;
-        callers hold only the object's latch)."""
+        version whose stamp is <= the horizon (lock-free snapshot read:
+        the caller holds the engine latch but takes no Moss lock)."""
         for stamp, value in reversed(self.history):
             if stamp <= horizon:
                 return value
@@ -252,9 +252,7 @@ class VersionedStore:
         return result
 
     def committed_value(self, obj: str) -> Value:
-        """The permanently committed (U-owned base) value of one object —
-        a single-stack read, so striped engines can serve it under just
-        that object's stripe mutex."""
+        """The permanently committed (U-owned base) value of one object."""
         base_owner, base_value = self._stacks[obj].entries[0]
         return base_value if base_owner == U else self._initial[obj]
 

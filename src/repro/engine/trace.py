@@ -3,16 +3,14 @@
 Every lifecycle event and data access the engine performs is appended to
 a :class:`TraceRecorder`.  Each record carries a monotonically
 increasing sequence number, so the trace is a single linearization of
-what happened regardless of the engine's latch mode.
+what happened.
 
 **Linearization argument.**  The sequence number is *reserved*
 (:meth:`TraceRecorder.reserve_seq` — one atomic counter bump) while the
-recording thread still holds the engine latch / stripe mutex / metadata
-latch that serializes the corresponding state change.  Two causally
-ordered events — two accesses of the same object, or a transaction's
-lifecycle transitions — are serialized by a common latch, so their
-reservations happen in causal order and the seq order respects
-per-object and lifecycle causality.  The :class:`TraceRecord` object
+recording thread still holds the engine latch that serializes the
+corresponding state change, so reservations happen in the order the
+state changes did and the seq order respects per-object and lifecycle
+causality.  The :class:`TraceRecord` object
 itself may then be constructed and **published off the critical path**,
 after the latch is released: publication order does not matter, because
 :attr:`TraceRecorder.records` and :meth:`TraceRecorder.dump` present

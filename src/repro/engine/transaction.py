@@ -116,17 +116,17 @@ class Transaction:
     def read(self, obj: str) -> Any:
         """Read the current value of an object (acquires a read lock, or a
         write lock in single-mode)."""
-        return self._db._read(self, obj)
+        return self._db._perform(self, "read", obj)
 
     def write(self, obj: str, value: Any) -> None:
         """Write an object (acquires a write lock; undone if we abort)."""
-        self._db._write(self, obj, value)
+        self._db._perform(self, "write", obj, value)
 
     def read_for_update(self, obj: str) -> Any:
         """Read with write intent: acquires the write lock up front, so a
         following :meth:`write` cannot hit an upgrade deadlock (the
         SELECT FOR UPDATE idiom)."""
-        return self._db._read(self, obj, for_update=True)
+        return self._db._perform(self, "read_for_update", obj)
 
     def update(self, obj: str, fn: Callable[[Any], Any]) -> Any:
         """Read-modify-write; returns the new value (write-intent read)."""
@@ -143,7 +143,7 @@ class Transaction:
         subtransaction's commit merges it into the parent (Moss
         inheritance), a top-level commit folds it into the committed base
         value, and an abort discards it."""
-        self._db._increment(self, obj, delta)
+        self._db._perform(self, "increment", obj, delta)
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -68,7 +68,6 @@ class LockWaited(Event):
     obj: Optional[str] = None
     mode: Optional[str] = None
     seconds: float = 0.0
-    stripe: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.kind = "lock_waited"

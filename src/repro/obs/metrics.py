@@ -4,9 +4,8 @@ The registry is the engine's measurement backbone.  Design constraints
 (see DESIGN.md and docs/observability.md):
 
 * **Leaf locking.**  Every metric owns a small leaf lock; recording a
-  sample never acquires an engine latch, a stripe mutex, or the metadata
-  latch — so instrumentation can run *inside* those critical sections
-  without extending the lock order.
+  sample never acquires the engine latch — so instrumentation can run
+  *inside* its critical sections without extending the lock order.
 * **Near-zero cost when disabled.**  Call sites guard with the registry's
   ``enabled`` flag (one attribute load and a bool test); a disabled
   registry also short-circuits :meth:`MetricsRegistry.timed` to a shared

@@ -1,29 +1,24 @@
-"""Unified engine statistics: one shape for both latch modes.
+"""Engine statistics: plain counters behind the engine latch.
 
-PR 1 left two divergent stats classes (``EngineStats`` for the global
-latch, ``StripedEngineStats`` for the striped lock manager).  This module
-collapses them into :class:`ObservableStats`: lifecycle counters
-(begun/committed/aborted/deadlocks) are plain attributes mutated under
-whichever latch guards the transition; data-path counters
-(reads/writes/lock_waits/lazy_lock_reaps) are either local attributes
-(global mode) or summed across the lock stripes at read time (striped
-mode — each stripe's counters are mutated under its own mutex, so the
-hot path never touches a shared counter).
+:class:`ObservableStats` holds the lifecycle counters
+(begun / committed / aborted / deadlocks) and the data-path counters
+(reads / writes / increments / snapshot_reads / lock_waits /
+lazy_lock_reaps).  Every bump happens under the engine's one latch, so
+the totals are exact under arbitrary thread interleavings without a lock
+of their own.
 
-``snapshot()`` returns exactly :data:`STATS_KEYS` in both modes — the
-schema documented in ``docs/engine_guide.md`` and asserted by the parity
-test.  :meth:`ObservableStats.bind` mirrors every counter into a
-:class:`~repro.obs.metrics.MetricsRegistry` as callback gauges, so the
-Prometheus export includes engine totals without double-counting on the
-hot path.
+``snapshot()`` returns exactly :data:`STATS_KEYS` — the schema documented
+in ``docs/engine_guide.md``.  :meth:`ObservableStats.bind` mirrors every
+counter into a :class:`~repro.obs.metrics.MetricsRegistry` as callback
+gauges, so the Prometheus export includes engine totals without
+double-counting on the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-#: The canonical key set of ``snapshot()`` — identical across
-#: ``latch_mode="global"`` and ``latch_mode="striped"``.
+#: The canonical key set of ``snapshot()``.
 STATS_KEYS: Tuple[str, ...] = (
     "begun",
     "committed",
@@ -39,105 +34,13 @@ STATS_KEYS: Tuple[str, ...] = (
 
 
 class ObservableStats:
-    """Engine counters for benchmarking and diagnostics (both latch modes).
+    """Engine counters for benchmarking and diagnostics."""
 
-    Construct with ``table=None`` for the global latch (all counters
-    local) or with a striped lock table (anything exposing ``.stripes``
-    whose members carry ``reads``/``writes``/``lock_waits``/
-    ``lazy_lock_reaps`` counters) to aggregate sharded data-path counters
-    on access.
-    """
+    __slots__ = STATS_KEYS
 
-    def __init__(self, table: Optional[Any] = None) -> None:
-        self._table = table
-        self._registry: Optional[Any] = None
-        self.begun = 0
-        self.committed = 0
-        self.aborted = 0
-        self.deadlocks = 0
-        self._reads = 0
-        self._writes = 0
-        self._increments = 0
-        self._snapshot_reads = 0
-        self._lock_waits = 0
-        self._lazy_lock_reaps = 0
-
-    # -- data-path counters (sharded in striped mode) ----------------------
-
-    @property
-    def reads(self) -> int:
-        if self._table is not None:
-            return sum(stripe.reads for stripe in self._table.stripes)
-        return self._reads
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._require_local("reads")
-        self._reads = value
-
-    @property
-    def writes(self) -> int:
-        if self._table is not None:
-            return sum(stripe.writes for stripe in self._table.stripes)
-        return self._writes
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._require_local("writes")
-        self._writes = value
-
-    @property
-    def increments(self) -> int:
-        if self._table is not None:
-            return sum(stripe.increments for stripe in self._table.stripes)
-        return self._increments
-
-    @increments.setter
-    def increments(self, value: int) -> None:
-        self._require_local("increments")
-        self._increments = value
-
-    @property
-    def snapshot_reads(self) -> int:
-        if self._table is not None:
-            return sum(stripe.snapshot_reads for stripe in self._table.stripes)
-        return self._snapshot_reads
-
-    @snapshot_reads.setter
-    def snapshot_reads(self, value: int) -> None:
-        self._require_local("snapshot_reads")
-        self._snapshot_reads = value
-
-    @property
-    def lock_waits(self) -> int:
-        if self._table is not None:
-            return sum(stripe.lock_waits for stripe in self._table.stripes)
-        return self._lock_waits
-
-    @lock_waits.setter
-    def lock_waits(self, value: int) -> None:
-        self._require_local("lock_waits")
-        self._lock_waits = value
-
-    @property
-    def lazy_lock_reaps(self) -> int:
-        if self._table is not None:
-            return sum(stripe.lazy_lock_reaps for stripe in self._table.stripes)
-        return self._lazy_lock_reaps
-
-    @lazy_lock_reaps.setter
-    def lazy_lock_reaps(self, value: int) -> None:
-        self._require_local("lazy_lock_reaps")
-        self._lazy_lock_reaps = value
-
-    def _require_local(self, name: str) -> None:
-        if self._table is not None:
-            raise AttributeError(
-                "%s is sharded across lock stripes in striped mode; "
-                "mutate the stripe counters instead" % name
-            )
-
-    # -- export ------------------------------------------------------------
+    def __init__(self) -> None:
+        for key in STATS_KEYS:
+            setattr(self, key, 0)
 
     def snapshot(self) -> Dict[str, int]:
         """All counters, keyed exactly by :data:`STATS_KEYS`."""
@@ -146,7 +49,6 @@ class ObservableStats:
     def bind(self, registry: Any) -> None:
         """Mirror every counter into ``registry`` as a callback gauge
         (``engine_stats_<name>``), read lazily at export time."""
-        self._registry = registry
         for key in STATS_KEYS:
             registry.gauge(
                 "engine_stats_" + key,

@@ -92,7 +92,6 @@ def scenario_worker_main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--programs", type=int, default=40)
     parser.add_argument("--users", type=int, default=50_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--latch", default="striped")
     parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args(argv)
 
@@ -103,7 +102,6 @@ def scenario_worker_main(argv: Optional[List[str]] = None) -> None:
     db = NestedTransactionDB(
         scenario.initial,
         config=EngineConfig(
-            latch_mode=args.latch,
             durability=manager,
             record_trace=False,
             lock_timeout=5.0,
@@ -147,7 +145,6 @@ def spawn_scenario_worker(
     programs: int = 40,
     users: int = 50_000,
     seed: int = 0,
-    latch: str = "striped",
     threads: int = 2,
 ) -> "subprocess.Popen[bytes]":
     src_root = os.path.dirname(
@@ -168,7 +165,6 @@ def spawn_scenario_worker(
             "--programs", str(programs),
             "--users", str(users),
             "--seed", str(seed),
-            "--latch", latch,
             "--threads", str(threads),
         ],
         env=env,
@@ -196,7 +192,6 @@ class ScenarioCrashReport:
     deterministic: bool = False
     post_committed: int = 0
     post_certified: Optional[bool] = None
-    latch: str = "striped"
 
     def fail(self, message: str) -> None:
         self.ok = False
@@ -212,7 +207,6 @@ def run_scenario_crash(
     programs: int = 40,
     users: int = 50_000,
     seed: int = 0,
-    latch: str = "striped",
     threads: int = 2,
     min_acks: int = 20,
     timeout: float = 60.0,
@@ -231,7 +225,7 @@ def run_scenario_crash(
     from ..workload import execute
     from .apps import build_scenario
 
-    report = ScenarioCrashReport(scenario=scenario_name, latch=latch)
+    report = ScenarioCrashReport(scenario=scenario_name)
     scenario = build_scenario(
         scenario_name, programs=programs, users=users, seed=seed
     )
@@ -244,7 +238,6 @@ def run_scenario_crash(
         programs=programs,
         users=users,
         seed=seed,
-        latch=latch,
         threads=threads,
     )
     ack_path = os.path.join(directory, ACK_FILE)
@@ -294,7 +287,6 @@ def run_scenario_crash(
     db = NestedTransactionDB(
         scenario.initial,
         config=EngineConfig(
-            latch_mode=latch,
             durability=DurabilityManager(directory),
             record_trace=certify is not None,
             certify=certify,

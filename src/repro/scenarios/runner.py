@@ -89,7 +89,6 @@ def run_scenario(
     seed: int = 0,
     chaos: Optional[ChaosSchedule] = None,
     certify: Optional[str] = "streaming",
-    latch_mode: str = "striped",
     op_delay: float = 0.0,
     max_retries: int = 200,
     durability: Optional[Any] = None,
@@ -111,7 +110,6 @@ def run_scenario(
         threads=threads,
         chaos=chaos,
         certify=certify,
-        latch_mode=latch_mode,
         op_delay=op_delay,
         max_retries=max_retries,
         durability=durability,
@@ -123,7 +121,6 @@ def run_compiled(
     threads: int = 8,
     chaos: Optional[ChaosSchedule] = None,
     certify: Optional[str] = "streaming",
-    latch_mode: str = "striped",
     op_delay: float = 0.0,
     max_retries: int = 200,
     durability: Optional[Any] = None,
@@ -142,8 +139,7 @@ def run_compiled(
     db = NestedTransactionDB(
         scenario.initial,
         config=EngineConfig(
-            latch_mode=latch_mode,
-            record_trace=certify is not None,
+                record_trace=certify is not None,
             certify=certify,
             durability=durability,
         ),
@@ -226,8 +222,7 @@ def run_fsync_poison_scenario(
     )
     db = NestedTransactionDB(
         scenario.initial,
-        config=EngineConfig(latch_mode="global", durability=manager,
-                            record_trace=False),
+        config=EngineConfig(durability=manager, record_trace=False),
     )
     outcome: Dict[str, Any] = {
         "scenario": scenario.name,

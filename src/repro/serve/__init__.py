@@ -9,7 +9,7 @@ splits the problem the way a reactor splits I/O from CPU:
   thousands of in-flight sessions onto a small CPU worker pool, bridged
   by ``concurrent.futures.Future`` → ``asyncio.wrap_future``;
 * :mod:`repro.serve.batch` — the leader/follower submission queue in
-  front of both latch modes: one latch crossing begins / performs /
+  front of the engine: one latch crossing begins / performs /
   commits a whole batch (the WAL group-commit pattern generalized to
   lock acquisition and trace publication), with commit acks coalesced
   into group fsyncs;
@@ -17,7 +17,7 @@ splits the problem the way a reactor splits I/O from CPU:
   ``benchmarks/bench_e15_saturation.py`` and ``scripts/serve_bench.py``.
 
 Every served trace is certifiable exactly like the sync paths: batch
-ops reserve their trace seqs under the engine latches and publish after
+ops reserve their trace seqs under the engine latch and publish after
 release, so ``certify="streaming"`` engines verify serve traffic live.
 """
 

@@ -2,7 +2,7 @@
 
 The WAL's group-commit pattern (``durability/wal.py``: whoever arrives
 first becomes the *leader* and fsyncs for every *follower* queued behind
-it) generalized to the engine latches.  Client sessions enqueue begin /
+it) generalized to the engine latch.  Client sessions enqueue begin /
 perform / commit / abort items; a small pool of CPU workers drains the
 queue, and whichever free worker wakes first leads the batch it drained:
 
@@ -23,8 +23,8 @@ through the same non-blocking batch path when locks may have been
 released.  In Moss locking, locks are held to commit/abort, so a lock
 release coincides exactly with a commit or abort flowing through this
 queue: every chunk that retires commits or aborts wakes the parked ops
-whose objects those transactions held (the batched analogue of striped
-mode's per-object condvars), and a per-item backoff tick covers releases
+whose objects those transactions held (a targeted wake-up the engine's
+own condvar does not offer), and a per-item backoff tick covers releases
 the queue cannot see — deadlock-victim aborts inside a batch attempt,
 commits performed outside the submitter.  Parked
 ops keep their waits-for edges registered (the engine's batch attempt
@@ -291,8 +291,7 @@ class BatchSubmitter:
 
     def _flush_parked_for(self, released: set) -> None:
         """Retry parked ops whose object a retiring commit/abort just
-        unlocked — the batched analogue of striped mode's per-object
-        condvars.  Waking only the affected objects matters: flushing the
+        unlocked.  Waking only the affected objects matters: flushing the
         whole parked set per commit chunk costs O(parked × commits) spare
         engine attempts, which is quadratic in session count and is
         exactly the storm that melts 10k-session runs.  Releases this

@@ -121,13 +121,12 @@ def session_objects(index: int, n_obj: int, seed: int = 0) -> List[str]:
 
 
 def build_engine(
-    latch_mode: str = "global",
     certify: Optional[str] = None,
     sessions: int = 1000,
     **config_kwargs: Any,
 ) -> NestedTransactionDB:
     n_obj = keyspace_size(sessions)
-    config = EngineConfig(latch_mode=latch_mode, certify=certify, **config_kwargs)
+    config = EngineConfig(certify=certify, **config_kwargs)
     return NestedTransactionDB(
         {"o%d" % i: 0 for i in range(n_obj)}, config=config
     )
@@ -165,7 +164,6 @@ def _finish_cell(
 
 
 def run_async_cell(
-    latch_mode: str = "global",
     sessions: int = 1000,
     workers: int = 2,
     max_batch: int = 128,
@@ -191,7 +189,7 @@ def run_async_cell(
     transactions.  Returns the JSON-ready cell dict."""
     own_db = db is None
     if own_db:
-        db = build_engine(latch_mode, certify, sessions, **config_kwargs)
+        db = build_engine(certify, sessions, **config_kwargs)
     n_obj = keyspace_size(sessions)
     registry = MetricsRegistry(enabled=True)
     commit_ms: List[float] = []
@@ -240,7 +238,6 @@ def run_async_cell(
     snapshot = registry.snapshot()
     cell: Dict[str, Any] = {
         "driver": "async",
-        "latch_mode": latch_mode,
         "sessions": sessions,
         "workers": workers,
         "max_batch": max_batch,
@@ -271,7 +268,6 @@ def run_async_cell(
 
 
 def run_threaded_cell(
-    latch_mode: str = "global",
     sessions: int = 1000,
     certify: Optional[str] = None,
     seed: int = 0,
@@ -281,7 +277,7 @@ def run_threaded_cell(
     Reports ``error="cant-start-thread"`` (with the count reached) when
     the OS refuses to spawn the requested fleet — at the 100k cell that
     refusal is the result."""
-    db = build_engine(latch_mode, certify, sessions, **config_kwargs)
+    db = build_engine(certify, sessions, **config_kwargs)
     n_obj = keyspace_size(sessions)
     commit_ms: List[float] = []
     txn_ms: List[float] = []
@@ -346,7 +342,6 @@ def run_threaded_cell(
         threading.stack_size(old_stack)
     cell: Dict[str, Any] = {
         "driver": "threaded",
-        "latch_mode": latch_mode,
         "sessions": sessions,
         "threads_started": started,
         "peak_live_threads": peak_live,

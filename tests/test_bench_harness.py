@@ -66,7 +66,6 @@ class TestSystems:
     def test_all_registered_systems_build(self):
         expected_types = {
             "moss-rw": NestedTransactionDB,
-            "moss-striped": NestedTransactionDB,
             "moss-single": NestedTransactionDB,
             "moss-lazy": NestedTransactionDB,
             "moss-victim-requester": NestedTransactionDB,
@@ -85,15 +84,7 @@ class TestSystems:
         assert make_system("moss-single", 2).single_mode
         assert make_system("moss-lazy", 2).lazy_lock_cleanup
         assert make_system("moss-victim-youngest", 2).deadlock_policy == "youngest"
-        assert make_system("moss-striped", 2).latch_mode == "striped"
-        assert make_system("moss-rw", 2).latch_mode == "global"
-
-    def test_make_striped_system_stripe_count(self):
-        from repro.bench import make_striped_system
-
-        db = make_striped_system(objects=8, stripes=4)
-        assert db.latch_mode == "striped"
-        assert db.stripe_count == 4
+        assert not make_system("moss-rw", 2).single_mode
 
     def test_unknown_system(self):
         with pytest.raises(KeyError):

@@ -23,18 +23,18 @@ def _check(report):
     assert report.oracle_ok
 
 
-@pytest.mark.parametrize("latch", ["global", "striped"])
-def test_crash_recovery_per_commit_sync(tmp_path, latch):
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_crash_recovery_per_commit_sync(tmp_path):
     report = run_crash_recovery_scenario(
-        str(tmp_path), latch=latch, sync="commit", seed=1, min_acks=30
+        str(tmp_path), sync="commit", seed=1, min_acks=30
     )
     _check(report)
-    assert report.sync == "commit" and report.latch == latch
+    assert report.sync == "commit"
 
 
 def test_crash_recovery_group_commit(tmp_path):
     report = run_crash_recovery_scenario(
-        str(tmp_path), latch="striped", sync="group", seed=2, min_acks=30
+        str(tmp_path), sync="group", seed=2, min_acks=30
     )
     _check(report)
 
@@ -44,7 +44,6 @@ def test_crash_recovery_across_checkpoint(tmp_path):
     snapshot and replay only the log suffix, losing nothing."""
     report = run_crash_recovery_scenario(
         str(tmp_path),
-        latch="global",
         sync="commit",
         seed=3,
         min_acks=60,

@@ -16,12 +16,9 @@ from repro.engine.retry import RetryPolicy
 from repro.engine.trace import TraceRecorder
 from repro.obs import EventBus, MetricsRegistry, RingBufferSink
 
-LATCHES = ["global", "striped"]
-
-
-def make_db(tmp_path, latch="global", **kwargs):
+def make_db(tmp_path, **kwargs):
     manager = DurabilityManager(str(tmp_path / "wal"), **kwargs)
-    return NestedTransactionDB({"x": 0, "y": 0}, config=EngineConfig(latch_mode=latch, durability=manager))
+    return NestedTransactionDB({"x": 0, "y": 0}, config=EngineConfig(durability=manager))
 
 
 def increment(t, obj="x"):
@@ -34,16 +31,16 @@ def increment(t, obj="x"):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("latch", LATCHES)
-def test_commits_survive_reopen(tmp_path, latch):
-    db = make_db(tmp_path, latch)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_commits_survive_reopen(tmp_path):
+    db = make_db(tmp_path)
     for _ in range(3):
         db.run_transaction(increment)
     db.run_transaction(lambda t: increment(t, "y"))
     assert db.snapshot() == {"x": 3, "y": 1}
     db.close()
 
-    db = make_db(tmp_path, latch)
+    db = make_db(tmp_path)
     assert db.snapshot() == {"x": 3, "y": 1}
     assert db.initial_values == {"x": 3, "y": 1}  # oracle replays from here
     db.run_transaction(increment)
@@ -51,9 +48,9 @@ def test_commits_survive_reopen(tmp_path, latch):
     db.close()
 
 
-@pytest.mark.parametrize("latch", LATCHES)
-def test_aborted_transactions_leave_no_trace_in_wal(tmp_path, latch):
-    db = make_db(tmp_path, latch)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_aborted_transactions_leave_no_trace_in_wal(tmp_path):
+    db = make_db(tmp_path)
 
     class Boom(Exception):
         pass
@@ -79,7 +76,7 @@ def test_aborted_transactions_leave_no_trace_in_wal(tmp_path, latch):
     assert [c.writes for c in commits] == [{"y": 1}]
     assert stats.discarded_records == 0
 
-    db = make_db(tmp_path, latch)
+    db = make_db(tmp_path)
     assert db.snapshot() == {"x": 0, "y": 1}
     db.close()
 
@@ -122,9 +119,9 @@ def test_durability_accepts_a_plain_path(tmp_path):
     db.close()
 
 
-@pytest.mark.parametrize("latch", LATCHES)
-def test_concurrent_durable_commits(tmp_path, latch):
-    db = make_db(tmp_path, latch, sync_policy="group", group_window=0.001)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_concurrent_durable_commits(tmp_path):
+    db = make_db(tmp_path, sync_policy="group", group_window=0.001)
     per_thread = 10
 
     def worker():
@@ -139,7 +136,7 @@ def test_concurrent_durable_commits(tmp_path, latch):
     assert db.snapshot()["x"] == 4 * per_thread
     db.close()
 
-    db = make_db(tmp_path, latch)
+    db = make_db(tmp_path)
     assert db.snapshot()["x"] == 4 * per_thread
     db.close()
 

@@ -1,0 +1,449 @@
+"""The one engine kernel: a single attempt / commit / abort path.
+
+``Transaction.read/write/increment/commit`` (blocking) and
+``begin_transaction_batch`` / ``try_perform_batch`` / ``commit_batch``
+(batched) are two drivers of the same latched kernel, so a script driven
+through either must leave the same store, the same counters, the same
+trace and the same per-step outcomes.  The property suite pins that; the
+regression tests below it pin the two failure-containment fixes that the
+fold made expressible once (a commit whose WAL append raises changes
+nothing; a poisoned batch keeps its survivors and wakes its waiters).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import threading
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.checker import check_engine
+from repro.durability import DurabilityManager, replay_commits
+from repro.engine import (
+    DeadlockAbort,
+    EngineConfig,
+    EngineError,
+    LockTimeout,
+    NestedTransactionDB,
+    TransactionAborted,
+)
+from repro.engine import database as database_module
+
+OBJECTS = ("a", "b", "c")
+KINDS = ("read", "read_for_update", "write", "increment")
+
+
+# ---------------------------------------------------------------------------
+# Differential: blocking API vs batch API
+
+
+class BlockingDriver:
+    """Per-op calls.  ``lock_timeout=0`` makes a conflicting request give
+    up at once, so a single-threaded script never sleeps."""
+
+    def __init__(self, db):
+        self.db = db
+
+    def begin(self, read_only):
+        return self.db.begin_transaction(read_only=read_only)
+
+    def op(self, txn, kind, obj, arg):
+        call = getattr(txn, kind)  # the kinds are the method names
+        try:
+            return ("done", call(obj) if kind.startswith("read") else call(obj, arg))
+        except LockTimeout:
+            return ("blocked", None)
+        except EngineError as error:
+            return ("error", type(error).__name__)
+
+    def commit(self, txn):
+        try:
+            txn.commit()
+        except EngineError as error:
+            return ("error", type(error).__name__)
+        return ("done", None)
+
+
+class BatchDriver:
+    """The batch entry points, one op per call.  A BLOCKED op withdraws
+    its edges (the analogue of the blocking path timing out); a
+    single-mode increment falls back to its two-step expansion."""
+
+    def __init__(self, db):
+        self.db = db
+
+    def begin(self, read_only):
+        (txn,) = self.db.begin_transaction_batch(1, read_only=read_only)
+        return txn
+
+    def _one(self, txn, kind, obj, arg):
+        ((status, payload),) = self.db.try_perform_batch([(txn, kind, obj, arg)])
+        if status == "error":
+            payload = type(payload).__name__
+        return status, payload
+
+    def op(self, txn, kind, obj, arg):
+        status, payload = self._one(txn, kind, obj, arg)
+        if status != "blocked":
+            return (status, payload)
+        if kind == "increment" and self.db.single_mode and not txn.read_only:
+            status, payload = self._one(txn, "read_for_update", obj, None)
+            if status == "done":
+                status, payload = self._one(txn, "write", obj, payload + arg)
+            if status != "blocked":
+                return (status, payload)
+        self.db.cancel_waits(txn)
+        return ("blocked", None)
+
+    def commit(self, txn):
+        ((status, payload),) = self.db.commit_batch([txn])
+        if status == "error":
+            payload = type(payload).__name__
+        return (status, payload)
+
+
+def run_script(driver, steps):
+    """Drive ``steps`` and return everything an observer can compare."""
+    db = driver.db
+    slots = []
+    outcomes = []
+    for step in steps:
+        action = step[0]
+        if action == "top":
+            slots.append(driver.begin(step[1]))
+            continue
+        if not slots:
+            continue
+        txn = slots[step[1] % len(slots)]
+        if action == "sub":
+            try:
+                slots.append(txn.begin_subtransaction())
+                outcomes.append(("done", None))
+            except EngineError as error:
+                outcomes.append(("error", type(error).__name__))
+        elif action == "op":
+            outcomes.append(driver.op(txn, *step[2:]))
+        elif action == "commit":
+            outcomes.append(driver.commit(txn))
+        else:
+            txn.abort()
+    for txn in slots:
+        if txn.parent is None:
+            txn.abort()
+    db.assert_quiescent()
+    trace = [dataclasses.astuple(record) for record in db.trace.records]
+    return db.snapshot(), db.stats.snapshot(), trace, outcomes
+
+
+slot = st.integers(min_value=0, max_value=7)
+step = st.one_of(
+    st.tuples(st.just("top"), st.booleans()),
+    st.tuples(st.just("sub"), slot),
+    st.tuples(
+        st.just("op"),
+        slot,
+        st.sampled_from(KINDS),
+        st.sampled_from(OBJECTS + ("nope",)),
+        st.integers(min_value=1, max_value=9),
+    ),
+    st.tuples(st.just("commit"), slot),
+    st.tuples(st.just("abort"), slot),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(step, min_size=1, max_size=40),
+    single_mode=st.booleans(),
+    lazy=st.booleans(),
+)
+def test_blocking_and_batch_paths_are_one_kernel(steps, single_mode, lazy):
+    observed = []
+    for driver_type in (BlockingDriver, BatchDriver):
+        db = NestedTransactionDB(
+            {obj: 0 for obj in OBJECTS},
+            config=EngineConfig(
+                single_mode=single_mode,
+                lazy_lock_cleanup=lazy,
+                lock_timeout=0.0,
+            ),
+        )
+        observed.append(run_script(driver_type(db), steps))
+    blocking, batched = observed
+    assert blocking[3] == batched[3]  # per-step DONE / BLOCKED / ERROR
+    assert blocking[0] == batched[0]  # store
+    assert blocking[1] == batched[1]  # stats.snapshot()
+    assert blocking[2] == batched[2]  # trace records, seqs included
+
+
+@pytest.mark.parametrize(
+    "policy,victim_is_requester",
+    [("requester", True), ("blocker", False)],
+)
+def test_deadlock_resolution_is_the_same_on_both_paths(policy, victim_is_requester):
+    """T1 waits for x (held by T0); T0's child then asks for y (held by
+    T1) and closes the cycle.  Under ``requester`` the victim is the
+    requester itself — the reflexive case of "an ancestor of the
+    requester" — and the request dies; under ``blocker`` T1 dies and the
+    same attempt is granted without waiting.  Both drivers must agree on
+    every outcome, the store, the counters and the trace."""
+
+    def scenario(batched):
+        db = NestedTransactionDB(
+            {"x": 0, "y": 0},
+            config=EngineConfig(deadlock_policy=policy, lock_timeout=5.0),
+        )
+        t0 = db.begin_transaction()
+        t1 = db.begin_transaction()
+        t0.write("x", 1)
+        t1.write("y", 2)
+        child = t0.begin_subtransaction()
+        waiter_outcome = []
+
+        def t1_wants_x():
+            try:
+                waiter_outcome.append(("done", t1.read("x")))
+            except TransactionAborted as error:
+                waiter_outcome.append(("error", type(error).__name__))
+
+        if batched:
+            assert db.try_perform_batch([(t1, "read", "x", None)]) == [
+                ("blocked", None)
+            ]
+            ((status, payload),) = db.try_perform_batch([(child, "read", "y", None)])
+            closing = (status, type(payload).__name__ if status == "error" else payload)
+        else:
+            thread = threading.Thread(target=t1_wants_x, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 5
+            while not db._waits.has_waits(t1.name):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            try:
+                closing = ("done", child.read("y"))
+            except DeadlockAbort as error:
+                closing = ("error", type(error).__name__)
+        if victim_is_requester:
+            assert closing == ("error", "DeadlockAbort")
+            t0.commit()  # releases x: T1's request can go through
+            if batched:
+                ((status, payload),) = db.try_perform_batch([(t1, "read", "x", None)])
+                waiter_outcome.append((status, payload))
+            else:
+                thread.join(5)
+            assert waiter_outcome == [("done", 1)]
+            t1.commit()
+        else:
+            assert closing == ("done", 0)  # T1 died; its write to y with it
+            if batched:
+                ((status, payload),) = db.try_perform_batch([(t1, "read", "x", None)])
+                waiter_outcome.append((status, type(payload).__name__))
+            else:
+                thread.join(5)
+            assert waiter_outcome == [("error", "TransactionAborted")]
+            child.commit()
+            t0.commit()
+        db.assert_quiescent()
+        assert check_engine(db).ok
+        stats = db.stats.snapshot()
+        # A parked thread re-checks on every wake-up; a queued batch op
+        # is retried when its driver chooses.  The count of re-blocks is
+        # the one number the two waiting disciplines need not share.
+        stats.pop("lock_waits")
+        kinds = [(r.op, r.txn, r.obj, r.kind, r.seen) for r in db.trace.records]
+        return db.snapshot(), stats, kinds
+
+    assert scenario(batched=False) == scenario(batched=True)
+
+
+def test_each_concept_is_stated_once():
+    """The fold, pinned: one place grants a lock, one merges versions
+    into the parent, one flips a transaction to ABORTED."""
+    source = inspect.getsource(database_module)
+    assert source.count("locks.grant(") == 1
+    assert source.count(".commit_to_parent(") == 1
+    assert source.count(".status = ABORTED") == 1
+    assert source.count(".status = COMMITTED") == 1
+    for legacy in ("_read", "_write", "_increment", "_acquire_locked"):
+        assert not hasattr(NestedTransactionDB, legacy)
+
+
+# ---------------------------------------------------------------------------
+# A commit whose WAL append raises changes nothing
+
+
+UNENCODABLE = {1, 2}  # json.dumps rejects a set
+
+
+def durable_db(directory, **config):
+    return NestedTransactionDB(
+        {"x": 0, "y": 0},
+        config=EngineConfig(
+            durability=DurabilityManager(str(directory)),
+            certify="streaming",
+            **config,
+        ),
+    )
+
+
+def assert_untouched_by_failed_commit(db, directory):
+    """After the failing commit's owner aborted: nothing visible, nothing
+    logged, nothing stranded in the certifier, engine at rest."""
+    assert db.read_committed("x") == 0
+    db.assert_quiescent()
+    db.certifier.finish()
+    db.assert_certified()
+    assert db.certifier.report().stats["reorder_buffered"] == 0
+    wal = db.durability.wal
+    before = wal.last_lsn
+    db.run_transaction(lambda t: t.write("y", 7))
+    # The failed append consumed no LSN: the next commit's two frames
+    # (one write, one commit record) follow on directly.
+    assert wal.last_lsn == before + 2
+    db.close()
+    commits, stats = replay_commits(str(directory))
+    assert [c.writes for c in commits] == [{"y": 7}]
+    assert stats.discarded_records == 0
+    reopened = durable_db(directory)
+    assert reopened.snapshot() == {"x": 0, "y": 7}
+    reopened.close()
+
+
+def test_failed_wal_append_leaves_commit_unapplied(tmp_path):
+    db = durable_db(tmp_path)
+    txn = db.begin_transaction()
+    txn.write("x", UNENCODABLE)
+    with pytest.raises(TypeError):
+        txn.commit()
+    # Nothing happened: still active, still holding its lock, invisible.
+    assert txn.status == "active"
+    assert db.read_committed("x") == 0
+    assert txn.held_objects == {"x"}
+    txn.abort()
+    assert_untouched_by_failed_commit(db, tmp_path)
+
+
+def test_failed_wal_append_inside_context_manager(tmp_path):
+    db = durable_db(tmp_path)
+    with pytest.raises(TypeError):
+        with db.transaction() as txn:
+            txn.write("x", UNENCODABLE)
+    assert_untouched_by_failed_commit(db, tmp_path)
+
+
+def test_failed_wal_append_inside_run_transaction(tmp_path):
+    db = durable_db(tmp_path)
+    with pytest.raises(TypeError):
+        db.run_transaction(lambda t: t.write("x", UNENCODABLE))
+    assert_untouched_by_failed_commit(db, tmp_path)
+
+
+def test_recovery_after_failed_append_keeps_exactly_the_acked_commits(tmp_path):
+    db = durable_db(tmp_path)
+    db.run_transaction(lambda t: t.write("x", 1))
+    with pytest.raises(TypeError):
+        db.run_transaction(lambda t: t.write("y", UNENCODABLE))
+    # A later commit may read what the failed one would have written —
+    # it must see the old value, and recovery must agree.
+    db.run_transaction(lambda t: t.write("x", t.read("y") + 10))
+    db.assert_quiescent()
+    db.close()
+    reopened = durable_db(tmp_path)
+    assert reopened.snapshot() == {"x": 10, "y": 0}
+    reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# A poisoned batch keeps its survivors; a raising commit loses no wake-up
+
+
+def test_commit_batch_contains_a_failing_transaction(tmp_path):
+    db = durable_db(tmp_path)
+    good, bad, also_good = db.begin_transaction_batch(3)
+    good.increment("x", 5)
+    bad.write("y", UNENCODABLE)
+    also_good.increment("x", 2)
+    results = db.commit_batch([good, bad, also_good])
+    assert results[0] == ("done", None)
+    assert results[2] == ("done", None)
+    status, error = results[1]
+    assert status == "error" and isinstance(error, TypeError)
+    # The survivors are acked only after the covering fsync.
+    wal = db.durability.wal
+    assert wal.durable_lsn == wal.last_lsn
+    assert bad.status == "active"
+    bad.abort()
+    db.assert_quiescent()
+    db.certifier.finish()
+    db.assert_certified()
+    db.close()
+    reopened = durable_db(tmp_path)
+    assert reopened.snapshot() == {"x": 7, "y": 0}
+    reopened.close()
+
+
+def test_waiter_wakes_promptly_after_holders_commit_raised(tmp_path):
+    """The holder's commit raises; its owner aborts it (the ordinary
+    failure path).  A writer parked on the same object must be woken by
+    that abort, not sleep out its lock timeout."""
+    lock_timeout = 3.0
+    db = durable_db(tmp_path, lock_timeout=lock_timeout)
+    waited = []
+
+    def writer():
+        started = time.monotonic()
+        db.run_transaction(lambda t: t.write("x", 1))
+        waited.append(time.monotonic() - started)
+
+    with pytest.raises(TypeError):
+        with db.transaction() as holder:
+            holder.write("x", UNENCODABLE)
+            thread = threading.Thread(target=writer, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 2
+            while not len(db._waits):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+    thread.join(lock_timeout + 2)
+    assert not thread.is_alive()
+    assert waited and waited[0] < lock_timeout / 3
+    assert db.read_committed("x") == 1
+    db.assert_quiescent()
+    db.close()
+
+
+def test_waiter_wakes_when_a_batch_member_fails(tmp_path):
+    """``commit_batch([a, b])`` with ``b`` failing still releases ``a``'s
+    locks with a wake-up: the waiter parked on ``a``'s object proceeds
+    long before its timeout."""
+    lock_timeout = 3.0
+    db = durable_db(tmp_path, lock_timeout=lock_timeout)
+    a, b = db.begin_transaction_batch(2)
+    a.write("x", 1)
+    b.write("y", UNENCODABLE)
+    waited = []
+
+    def writer():
+        started = time.monotonic()
+        db.run_transaction(lambda t: t.write("x", t.read_for_update("x") + 1))
+        waited.append(time.monotonic() - started)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 2
+    while not len(db._waits):
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    results = db.commit_batch([a, b])
+    assert [status for status, _ in results] == ["done", "error"]
+    thread.join(lock_timeout + 2)
+    assert not thread.is_alive()
+    assert waited and waited[0] < lock_timeout / 3
+    b.abort()
+    assert db.read_committed("x") == 2
+    db.assert_quiescent()
+    db.close()

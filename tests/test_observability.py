@@ -1,5 +1,5 @@
 """The observability subsystem: metrics registry exactness under
-threads, event bus + sinks, stats parity across latch modes, engine
+threads, event bus + sinks, stats parity across submission paths, engine
 wiring, and the deprecated 1.0 surfaces."""
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.engine import (
     STATS_KEYS,
     TransactionAborted,
 )
-from repro.engine.locks import StripedLockTable
 from repro.engine.retry import RetryPolicy
 from repro.obs import (
     EVENT_KINDS,
@@ -205,10 +204,9 @@ class TestEventBusAndSinks:
 
 
 class TestStatsParity:
-    @pytest.mark.parametrize("latch_mode", ["global", "striped"])
-    def test_snapshot_schema_matches_stats_keys(self, latch_mode):
-        """Satellite 2: both latch modes expose the exact same key set."""
-        db = NestedTransactionDB({"a": 0, "b": 0}, config=EngineConfig(latch_mode=latch_mode))
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_snapshot_schema_matches_stats_keys(self):
+        db = NestedTransactionDB({"a": 0, "b": 0})
         with db.transaction() as t:
             t.write("a", t.read("b") + 1)
         snap = db.stats.snapshot()
@@ -217,25 +215,40 @@ class TestStatsParity:
         assert snap["reads"] >= 1 and snap["writes"] >= 1
 
     def test_parity_across_modes_on_identical_workload(self):
-        def run(latch_mode):
-            db = NestedTransactionDB({"x": 0}, config=EngineConfig(latch_mode=latch_mode))
-            for i in range(5):
-                db.run_transaction(lambda t: t.write("x", t.read("x") + 1))
-            return db.stats.snapshot()
+        """The two submission modes — blocking per-op calls and the
+        batch entry points — count an identical workload identically."""
 
-        a, b = run("global"), run("striped")
+        def blocking(db):
+            for _ in range(5):
+                db.run_transaction(lambda t: t.write("x", t.read("x") + 1))
+
+        def batched(db):
+            for _ in range(5):
+                (txn,) = db.begin_transaction_batch(1)
+                ((_, seen),) = db.try_perform_batch([(txn, "read", "x", None)])
+                db.try_perform_batch([(txn, "write", "x", seen + 1)])
+                db.commit_batch([txn])
+
+        snapshots = []
+        for drive in (blocking, batched):
+            db = NestedTransactionDB({"x": 0})
+            drive(db)
+            assert db.read_committed("x") == 5
+            snapshots.append(db.stats.snapshot())
+        a, b = snapshots
         assert set(a) == set(b) == set(STATS_KEYS)
         # Single-threaded deterministic workload: lifecycle and data-path
         # counters agree exactly, not just structurally.
         assert a == b
 
-    def test_striped_data_path_counters_reject_direct_writes(self):
-        table = StripedLockTable(["a", "b"], n_stripes=2)
-        stats = ObservableStats(table=table)
+    def test_counters_are_plain_attributes(self):
+        stats = ObservableStats()
+        stats.reads = 5
+        stats.begun = 3
+        snap = stats.snapshot()
+        assert snap["reads"] == 5 and snap["begun"] == 3
         with pytest.raises(AttributeError):
-            stats.reads = 5
-        stats.begun = 3  # lifecycle counters stay local in both modes
-        assert stats.snapshot()["begun"] == 3
+            stats.raeds = 1  # a typo must not mint a counter
 
     def test_bind_mirrors_counters_as_gauges(self):
         registry = MetricsRegistry()
@@ -280,9 +293,9 @@ class TestRetryPolicy:
 
 
 class TestEngineWiring:
-    @pytest.mark.parametrize("latch_mode", ["global", "striped"])
-    def test_commit_and_wait_metrics_populate(self, latch_mode):
-        db = NestedTransactionDB({"a": 0, "b": 0}, config=EngineConfig(latch_mode=latch_mode, lock_timeout=5.0))
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_commit_and_wait_metrics_populate(self):
+        db = NestedTransactionDB({"a": 0, "b": 0}, config=EngineConfig(lock_timeout=5.0))
         db.metrics.enable()
         ring = db.events.attach(RingBufferSink(capacity=4096))
         db.run_transaction(lambda t: t.write("a", 1))

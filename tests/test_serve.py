@@ -1,8 +1,8 @@
 """The serve layer: asyncio sessions over the batch submitter.
 
 Covers the reactor-vs-CPU-pool contract end to end — async sessions
-multiplexed over a small worker pool, batched begins/ops/commits against
-both latch modes, compound-op expansion, the park/retry path for blocked
+multiplexed over a small worker pool, batched begins/ops/commits,
+compound-op expansion, the park/retry path for blocked
 ops (targeted wake on commit, LockTimeout on expiry), error containment
 in futures, and graceful degradation for backends without the batch
 entry points.
@@ -21,13 +21,9 @@ from repro.engine.errors import LockTimeout, TransactionAborted
 from repro.obs import MetricsRegistry
 from repro.serve import AsyncFrontend, BatchSubmitter
 
-MODES = ("global", "striped")
-
-
-def make_db(latch_mode="global", **kwargs):
+def make_db(**kwargs):
     return NestedTransactionDB(
-        {"x": 0, "y": 0, "z": 0},
-        config=EngineConfig(latch_mode=latch_mode, **kwargs),
+        {"x": 0, "y": 0, "z": 0}, config=EngineConfig(**kwargs)
     )
 
 
@@ -38,9 +34,9 @@ def run(coro):
 # -- async sessions ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_session_context_manager_commits(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_session_context_manager_commits():
+    db = make_db()
 
     async def main():
         async with AsyncFrontend(db, workers=2) as frontend:
@@ -55,9 +51,9 @@ def test_session_context_manager_commits(mode):
     db.assert_quiescent()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_session_aborts_on_error(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_session_aborts_on_error():
+    db = make_db()
 
     async def main():
         async with AsyncFrontend(db, workers=2) as frontend:
@@ -88,9 +84,9 @@ def test_session_requires_begin():
     run(main())
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_many_concurrent_sessions(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_many_concurrent_sessions():
+    db = make_db()
     sessions = 200
 
     async def one(frontend, i):
@@ -145,11 +141,11 @@ def test_run_session_gives_up_after_max_retries():
     db.assert_quiescent()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_rmw_and_single_mode_increment_expand(mode):
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_rmw_and_single_mode_increment_expand():
     # rmw always expands to read_for_update + write through the queue;
     # increment degenerates the same way on a single-mode engine.
-    db = make_db(mode, single_mode=True)
+    db = make_db(single_mode=True)
 
     async def main():
         async with AsyncFrontend(db, workers=2) as frontend:
@@ -178,9 +174,9 @@ def test_read_only_session():
 # -- the submitter's park/retry path ----------------------------------------
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_blocked_op_parks_then_wakes_on_commit(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_blocked_op_parks_then_wakes_on_commit():
+    db = make_db()
     sub = BatchSubmitter(db, workers=2, max_batch=16)
     try:
         holder = sub.submit_begin().result(timeout=5)
@@ -401,9 +397,9 @@ def test_unbatched_backend_degrades_to_per_op():
 # -- engine batch entry points (what the submitter rides on) -----------------
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_begin_transaction_batch(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_begin_transaction_batch():
+    db = make_db()
     txns = db.begin_transaction_batch(5)
     assert len(txns) == 5
     assert len({t.name for t in txns}) == 5
@@ -412,9 +408,9 @@ def test_begin_transaction_batch(mode):
     db.assert_quiescent()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_try_perform_batch_statuses(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_try_perform_batch_statuses():
+    db = make_db()
     holder = db.begin_transaction()
     holder.write("x", 1)
     other = db.begin_transaction()
@@ -433,11 +429,11 @@ def test_try_perform_batch_statuses(mode):
     db.assert_quiescent()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_commit_batch_group_commits(mode, tmp_path):
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_commit_batch_group_commits(tmp_path):
     db = NestedTransactionDB(
         {"x": 0, "y": 0},
-        config=EngineConfig(latch_mode=mode, durability=str(tmp_path / mode)),
+        config=EngineConfig(durability=str(tmp_path)),
     )
     txns = db.begin_transaction_batch(4)
     for i, txn in enumerate(txns):
@@ -453,9 +449,9 @@ def test_commit_batch_group_commits(mode, tmp_path):
     db.assert_quiescent()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_cancel_waits_clears_batch_registered_edges(mode):
-    db = make_db(mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_cancel_waits_clears_batch_registered_edges():
+    db = make_db()
     holder = db.begin_transaction()
     holder.write("x", 1)
     waiter = db.begin_transaction()
@@ -472,7 +468,7 @@ def test_cancel_waits_clears_batch_registered_edges(mode):
 def test_parked_retry_under_churn_makes_progress():
     """A writer pipeline over one hot object through the submitter: every
     session must eventually grant via park/flush, no lost increments."""
-    db = make_db("striped")
+    db = make_db()
     sub = BatchSubmitter(db, workers=3, max_batch=8)
     sessions = 30
     futures = []

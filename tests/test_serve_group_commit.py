@@ -27,15 +27,10 @@ from repro.durability import DurabilityManager
 from repro.engine import EngineConfig, NestedTransactionDB
 from repro.serve import BatchSubmitter
 
-MODES = ("global", "striped")
-
-
-def make_durable_db(tmp_path, latch_mode="global", **wal_kwargs):
+def make_durable_db(tmp_path, **wal_kwargs):
     manager = DurabilityManager(str(tmp_path / "wal"), **wal_kwargs)
     init = {"o%d" % i: 0 for i in range(64)}
-    return NestedTransactionDB(
-        init, config=EngineConfig(latch_mode=latch_mode, durability=manager)
-    )
+    return NestedTransactionDB(init, config=EngineConfig(durability=manager))
 
 
 def commit_burst(sub, sessions, start_barrier=None):
@@ -66,9 +61,9 @@ def commit_burst(sub, sessions, start_barrier=None):
     return ack_seconds
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_burst_coalesces_fsyncs(tmp_path, mode):
-    db = make_durable_db(tmp_path, mode)
+@pytest.mark.usefixtures("retired_latch_axis")
+def test_burst_coalesces_fsyncs(tmp_path):
+    db = make_durable_db(tmp_path)
     sub = BatchSubmitter(db, workers=2, max_batch=64)
     try:
         barrier = threading.Barrier(32)
@@ -115,7 +110,7 @@ def test_commit_ack_implies_durable_horizon_covers_it(tmp_path):
 
 
 def test_durable_horizon_monotone_under_burst(tmp_path):
-    db = make_durable_db(tmp_path, "striped")
+    db = make_durable_db(tmp_path)
     sub = BatchSubmitter(db, workers=3, max_batch=32)
     wal = db.durability.wal
     samples = []

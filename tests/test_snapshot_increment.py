@@ -6,8 +6,7 @@ The property suites pin the two tentpole guarantees:
 * snapshot visibility — a read-only transaction observes exactly the
   committed state at its begin horizon, no matter what commits after;
 * increment exactness — N threads of blind increments always sum
-  exactly, with zero lock waits (full commutativity), in both latch
-  modes.
+  exactly, with zero lock waits (full commutativity).
 
 The differential suite streams mixed snapshot/increment traces through
 the online certifier and the offline Theorem-9 oracle and requires them
@@ -17,6 +16,7 @@ reject.
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 import tempfile
 import threading
@@ -42,9 +42,6 @@ from repro.engine import (
 )
 from repro.engine.errors import LockTimeout, TransactionAborted
 
-LATCH_MODES = ("global", "striped")
-
-
 def make_db(initial, **overrides):
     return NestedTransactionDB(initial, config=EngineConfig(**overrides))
 
@@ -54,9 +51,9 @@ def make_db(initial, **overrides):
 
 
 class TestIncrementMode:
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
-    def test_increment_folds_into_own_reads(self, latch_mode):
-        db = make_db({"c": 10}, latch_mode=latch_mode)
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_increment_folds_into_own_reads(self):
+        db = make_db({"c": 10})
 
         def body(t):
             t.increment("c", 5)
@@ -68,11 +65,11 @@ class TestIncrementMode:
         db.assert_quiescent()
         assert check_engine(db).ok
 
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
-    def test_nthread_increment_exactness(self, latch_mode):
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_nthread_increment_exactness(self):
         """8 threads x 25 blind increments sum exactly — and commute:
         no increment ever waits for another increment's lock."""
-        db = make_db({"c": 0}, latch_mode=latch_mode, record_trace=False)
+        db = make_db({"c": 0}, record_trace=False)
         threads, per_thread, delta = 8, 25, 3
 
         def worker():
@@ -89,9 +86,9 @@ class TestIncrementMode:
         assert db.stats.increments == threads * per_thread
         db.assert_quiescent()
 
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
-    def test_subtransaction_delta_inheritance_and_abort(self, latch_mode):
-        db = make_db({"c": 100}, latch_mode=latch_mode)
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_subtransaction_delta_inheritance_and_abort(self):
+        db = make_db({"c": 100})
 
         def body(t):
             with t.subtransaction() as sub:
@@ -166,9 +163,9 @@ class TestIncrementMode:
 
 
 class TestSnapshotReads:
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
-    def test_snapshot_pinned_at_begin(self, latch_mode):
-        db = make_db({"x": 1}, latch_mode=latch_mode)
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_snapshot_pinned_at_begin(self):
+        db = make_db({"x": 1})
         snap = db.begin_transaction(read_only=True)
         db.run_transaction(lambda t: t.write("x", 2))
         assert snap.read("x") == 1  # horizon predates the write
@@ -190,11 +187,11 @@ class TestSnapshotReads:
             snap.read_for_update("x")
         snap.commit()
 
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
-    def test_snapshot_never_blocks_on_writer_locks(self, latch_mode):
+    @pytest.mark.usefixtures("retired_latch_axis")
+    def test_snapshot_never_blocks_on_writer_locks(self):
         """A snapshot read proceeds while a writer holds the object's
         write lock mid-transaction — and sees the pre-write value."""
-        db = make_db({"x": 1}, latch_mode=latch_mode)
+        db = make_db({"x": 1})
         writer = db.begin_transaction()
         writer.write("x", 99)  # write lock held, uncommitted
         snap = db.begin_transaction(read_only=True)
@@ -245,14 +242,13 @@ class TestSnapshotReads:
 # Differential certification: streaming vs offline oracle
 
 
-def _mixed_run(latch_mode, seed):
+def _mixed_run(seed):
     """A concurrent mixed workload: writers, incrementers, snapshot
     readers.  Returns the finished (certifying) engine."""
     import random
 
     db = make_db(
         {"a": 0, "b": 10, "c": 100},
-        latch_mode=latch_mode,
         certify="streaming",
     )
 
@@ -287,10 +283,9 @@ def _mixed_run(latch_mode, seed):
 
 
 class TestDifferentialCertification:
-    @pytest.mark.parametrize("latch_mode", LATCH_MODES)
     @pytest.mark.parametrize("seed", (1, 2))
-    def test_streaming_agrees_with_offline_oracle(self, latch_mode, seed):
-        db = _mixed_run(latch_mode, seed)
+    def test_streaming_agrees_with_offline_oracle(self, seed):
+        db = _mixed_run(seed)
         # Online: the engine's own streaming certifier saw every record.
         db.assert_certified()
         records = list(db.trace.records)
@@ -375,7 +370,7 @@ class TestDurableIncrements:
 
     def test_increment_recovery_across_checkpoint(self, tmp_path):
         directory = str(tmp_path / "wal")
-        cfg = EngineConfig(latch_mode="striped", durability=directory)
+        cfg = EngineConfig(durability=directory)
         db = NestedTransactionDB({"c": 0}, config=cfg)
         for _ in range(10):
             db.run_transaction(lambda t: t.increment("c", 2))
@@ -393,23 +388,23 @@ class TestDurableIncrements:
 
 class TestEngineConfigSurface:
     def test_canonical_config_constructor(self):
-        cfg = EngineConfig(latch_mode="striped", stripes=4, record_trace=False)
+        cfg = EngineConfig(lock_timeout=2.0, record_trace=False)
         db = NestedTransactionDB({"x": 0}, config=cfg)
         assert db.config is cfg
         db.run_transaction(lambda t: t.write("x", 1))
         assert db.snapshot()["x"] == 1
 
-    def test_loose_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            db = NestedTransactionDB({"x": 0}, **{"single_mode": True})
-        assert db.config.single_mode is True
-
     def test_unknown_kwarg_raises_type_error(self):
+        """EngineConfig is the only configuration surface: the loose
+        keyword arguments (deprecated since 1.4) are ordinary unknown
+        kwargs now, not a warning."""
         with pytest.raises(TypeError, match="max_retries"):
             NestedTransactionDB({"x": 0}, max_retries=3)
+        with pytest.raises(TypeError, match="record_trace"):
+            NestedTransactionDB({"x": 0}, **{"record_trace": False})
 
     def test_config_plus_loose_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="single_mode"):
             NestedTransactionDB(
                 {"x": 0}, config=EngineConfig(), **{"single_mode": True}
             )
@@ -428,8 +423,10 @@ class TestEngineConfigSurface:
         assert not LockMode.WRITE.self_commutes
 
     def test_invalid_latch_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(latch_mode="sharded")
+        """Every latch mode is invalid now: the field is gone."""
+        with pytest.raises(TypeError, match="latch_mode"):
+            EngineConfig(latch_mode="global")
+        assert len(dataclasses.fields(EngineConfig)) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -595,10 +595,13 @@ def run_workload(db, seed=11, programs=30, failure_prob=0.1):
 
 
 class TestLiveEngineWiring:
-    @pytest.mark.parametrize("latch_mode", ["global", "striped"])
+    @pytest.mark.usefixtures("retired_latch_axis")
+    @pytest.mark.parametrize(
+        "retired_latch_axis", ["global", "striped"], indirect=True
+    )  # explicit so the ids stay seed-first
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_live_certifier_agrees_with_oracle(self, latch_mode, seed):
-        db = NestedTransactionDB(initial_values(16), config=EngineConfig(latch_mode=latch_mode, certify="streaming"))
+    def test_live_certifier_agrees_with_oracle(self, seed):
+        db = NestedTransactionDB(initial_values(16), config=EngineConfig(certify="streaming"))
         run_workload(db, seed=seed)
         db.assert_certified()  # no violations while live
         streaming = db.certifier.finish()
@@ -686,7 +689,7 @@ class TestLiveEngineWiring:
         """The JSONL event stream produced by TraceBusBridge + a file
         sink replays through feed_dict to the same verdict — the CI
         streaming gate's exact path."""
-        db = NestedTransactionDB(initial_values(16), config=EngineConfig(latch_mode="striped", certify="streaming"))
+        db = NestedTransactionDB(initial_values(16), config=EngineConfig(certify="streaming"))
         stream = io.StringIO()
         db.events.attach(JsonlFileSink(stream))
         bridge = db.trace.add_listener(TraceBusBridge(db.events))
