@@ -39,6 +39,11 @@ PROGRAMS = scale(80)
 THREADS = 8
 OBJECTS = 32
 OP_DELAY = 0.0005  # sleeps *inside* held locks: lock waits dominate
+#: Wall-time budget of E12b's writer pool.  An idle reader cell takes
+#: ~0.2 s; four always-overlapping writers can starve the locked readers
+#: for as long as they run (no per-object wait queue — ROADMAP's convoy
+#: item), so the pool stops after this long and the readers always drain.
+WRITER_BUDGET = 5.0
 
 
 def _counter_cell(counter_kind: str, theta: float):
@@ -157,11 +162,14 @@ def _reader_throughput(read_only: bool, writer_threads: int) -> float:
     ]
     for thread in pool:
         thread.start()
+    budget = threading.Timer(WRITER_BUDGET, stop.set)
+    budget.start()
     try:
         report = execute(
             db, programs, threads=2, seed=91, op_delay=OP_DELAY, max_retries=500
         )
     finally:
+        budget.cancel()
         stop.set()
         for thread in pool:
             thread.join()

@@ -1,26 +1,20 @@
 """E14 — the sharded multi-process cluster (level 5 for real).
 
-Three cells over ``repro.cluster`` — real OS processes per shard, 2PC
-over the wire, available-copies replication:
+Two cells over ``repro.cluster`` — real OS processes per shard, 2PC
+over the wire, available-copies replication.  Neither is a speed: what
+the cluster costs per transaction is measured by ``benchmarks/spine``
+(workload ``cluster_transfer``, ledger lines ``wire`` / ``twopc``).
 
-* **E14a scaling** — committed txn/s for the bank fleet at 1/2/4/8
-  shards, single-site routing (no replication), per-shard WAL on.  On a
-  multi-core host the shard processes run in parallel and throughput
-  grows with shards; on a single-core host (CI containers — recorded as
-  ``cpu_count`` in the artifact) the cells instead price the pure 2PC
-  message overhead, since every process time-slices one core.  The gate
-  is therefore conditional: scaling is asserted only when the host has
-  the cores to show it; the unconditional gate is the *cost model* —
-  messages per committed transaction must grow with shard span the way
-  Section 9 predicts, and every cell must commit its full program list.
-* **E14b replication cost** — 4 shards with the bank ledger replicated
-  cluster-wide vs single-site: available copies buy kill-survival with
-  one write per copy, and this cell prices that choice.
 * **E14c certified chaos** — the acceptance run: 4 shards, replicated
   ledger, one site SIGKILLed mid-run and revived; merged cross-site
   trace certified by the streaming certifier *and* the offline oracle,
   conservation invariant + replica coherence + progress ledger all
   checked.
+* **Message bill** — messages per committed transaction for the same
+  bank program list at 1 / 2 / 4 shards.  A count, not a timing:
+  Section 9's cost model says spanning more sites costs more messages
+  (extra prepare / commit rounds, one ledger write per copy), so the
+  bill must grow monotonically with the shard count.
 """
 
 from __future__ import annotations
@@ -31,73 +25,38 @@ import os
 from repro.bench import Table, emit, scale
 from repro.bench.reporting import RESULTS_DIR
 from repro.cluster import run_cluster_scenario
-from repro.cluster.loadgen import run_load
 from repro.scenarios.chaos import SiteSchedule
 
-PROGRAMS = scale(240)
-USERS = scale(150)
+PROGRAMS = scale(120)
+USERS = scale(80)
 THREADS = 6
-SHARD_SWEEP = (1, 2, 4, 8)
-try:
-    CPU_COUNT = os.cpu_count() or 1
-except (AttributeError, OSError):  # pragma: no cover
-    CPU_COUNT = 1
-#: A shard per core (plus the driver) is the most parallelism the host
-#: can physically express; past that, cells measure scheduler thrash.
-PARALLEL_HOST = CPU_COUNT >= 4
+SHARD_SWEEP = (1, 2, 4)
 
 
-def _scaling_cells():
+def _message_bill():
     rows = []
     for shards in SHARD_SWEEP:
-        row = run_load(
+        result = run_cluster_scenario(
             "bank",
             shards=shards,
             programs=PROGRAMS,
             users=USERS,
-            clients=1,
             threads=THREADS,
             seed=14,
-            replicated=(),
-            durability=True,
+            durability=False,
+            certified=False,
         )
-        rows.append(row)
+        rows.append({
+            "shards": shards,
+            "committed": result.committed,
+            "failed": result.failed,
+            "retries": result.retries,
+            "messages": result.messages,
+            "msgs_per_txn": round(result.messages / result.committed, 2),
+            "invariant_ok": result.invariant_ok,
+            "ledger_ok": result.ledger_ok,
+        })
     return rows
-
-
-def _replication_cell():
-    return run_load(
-        "bank",
-        shards=4,
-        programs=PROGRAMS,
-        users=USERS,
-        clients=1,
-        threads=THREADS,
-        seed=14,
-        replicated=None,  # scenario default: ledger prefixes replicated
-        durability=True,
-    )
-
-
-def _frontend_cell():
-    """E14d — the asyncio serve front-end driving the shard fleet: every
-    program held as a session coroutine, multiplexed over ``THREADS``
-    submitter workers instead of a thread per program (the coordinator
-    has no batch entry points, so ops go per-op — this cell prices the
-    multiplexing).  Carries per-site exchange counts: the saturation
-    axis a skewed routing table would show up on."""
-    return run_load(
-        "bank",
-        shards=2,
-        programs=PROGRAMS,
-        users=USERS,
-        clients=1,
-        threads=THREADS,
-        seed=14,
-        replicated=(),
-        durability=True,
-        frontend="async",
-    )
 
 
 def _chaos_cell():
@@ -117,48 +76,24 @@ def _chaos_cell():
 
 def test_e14_cluster(benchmark):
     def _run():
-        return {
-            "scaling": _scaling_cells(),
-            "replicated": _replication_cell(),
-            "frontend": _frontend_cell(),
-            "chaos": _chaos_cell(),
-        }
+        return {"bill": _message_bill(), "chaos": _chaos_cell()}
 
     cells = benchmark.pedantic(_run, rounds=1, iterations=1)
 
+    bill = cells["bill"]
     table = Table(
-        ["shards", "committed", "failed", "seconds",
-         "txn_per_s", "msgs_per_txn", "retries"]
+        ["shards", "committed", "failed", "retries", "messages",
+         "msgs_per_txn"]
     )
-    for row in cells["scaling"]:
-        table.add_row(
-            row["shards"], row["committed"], row["failed"], row["seconds"],
-            row["committed_per_sec"], row["msgs_per_txn"], row["retries"],
-        )
-    rep = cells["replicated"]
-    table.add_row(
-        "4+repl", rep["committed"], rep["failed"], rep["seconds"],
-        rep["committed_per_sec"], rep.get("msgs_per_txn", ""), rep["retries"],
-    )
-    front = cells["frontend"]
-    table.add_row(
-        "2+async", front["committed"], front["failed"], front["seconds"],
-        front["committed_per_sec"], front.get("msgs_per_txn", ""),
-        front["retries"],
-    )
+    for row in bill:
+        table.add_row(*[row[c] for c in table.columns])
     emit(
-        "E14a/b/d: cluster committed-txn/s vs shard count (bank, WAL on)",
+        "E14: message bill — messages per committed txn vs shard count",
         table,
-        notes="one shard = one OS process; cross-shard commits use 2PC. "
-        "host cpu_count=%d (%s). '4+repl' replicates the bank ledger "
-        "to every site (available copies); '2+async' drives the fleet "
-        "through the asyncio serve front-end (repro.serve), programs as "
-        "session coroutines over %d submitter workers." % (
-            CPU_COUNT,
-            "parallel host" if PARALLEL_HOST
-            else "single-core: cells price 2PC message overhead",
-            THREADS,
-        ),
+        notes="one shard = one OS process; cross-shard commits use 2PC and "
+        "the bank ledger has one copy per site (available copies). A "
+        "count, not a timing: txn/s and latency for the cluster come from "
+        "benchmarks/spine (cluster_transfer).",
     )
 
     chaos = cells["chaos"]
@@ -185,57 +120,28 @@ def test_e14_cluster(benchmark):
         json.dump(
             {
                 "experiment": "e14-cluster",
-                "cpu_count": CPU_COUNT,
-                "parallel_host": PARALLEL_HOST,
                 "programs": PROGRAMS,
                 "users": USERS,
                 "threads": THREADS,
-                "scaling": cells["scaling"],
-                "replicated": rep,
-                "frontend": front,
+                "message_bill": bill,
                 "chaos": chaos,
             },
             fh,
             indent=2,
         )
 
-    # --- gates ------------------------------------------------------------
-    by_shards = {row["shards"]: row for row in cells["scaling"]}
-    for row in cells["scaling"]:
+    # --- gates (no timing) ------------------------------------------------
+    for row in bill:
         # Every cell drains its whole program list; nothing is lost.
         assert row["committed"] == PROGRAMS, row
         assert row["failed"] == 0, row
-    assert rep["committed"] == PROGRAMS, rep
-
-    # The async front-end drains the same program list through session
-    # coroutines, and its per-site exchange accounting is complete: the
-    # sites' round trips add up to every message the coordinator sent.
-    assert front["committed"] == PROGRAMS, front
-    assert front["failed"] == 0, front
-    assert front["per_site"], front
-    assert (
-        sum(site["exchanges"] for site in front["per_site"].values())
-        == front["messages"]
-    ), front
-
+        assert row["invariant_ok"] and row["ledger_ok"], row
     # Section 9 cost model: spanning more sites costs more messages per
-    # committed transaction (extra prepare/commit rounds), monotonically.
-    msgs = [by_shards[s]["msgs_per_txn"] for s in SHARD_SWEEP
-            if by_shards[s].get("msgs_per_txn")]
-    if len(msgs) == len(SHARD_SWEEP):
-        assert msgs == sorted(msgs), msgs
-        assert msgs[-1] > msgs[0], msgs
-    # Replication is costlier still: ledger writes fan out to every copy.
-    if rep.get("msgs_per_txn") and by_shards[4].get("msgs_per_txn"):
-        assert rep["msgs_per_txn"] > by_shards[4]["msgs_per_txn"], rep
-
-    # Throughput scaling is a statement about parallel hardware; assert
-    # it only where the host can physically express it.
-    if PARALLEL_HOST:
-        assert (
-            by_shards[4]["committed_per_sec"]
-            >= 1.1 * by_shards[1]["committed_per_sec"]
-        ), by_shards
+    # committed transaction (extra prepare/commit rounds, one ledger
+    # write per copy), monotonically.
+    msgs = [row["msgs_per_txn"] for row in bill]
+    assert msgs == sorted(msgs), msgs
+    assert msgs[-1] > msgs[0], msgs
 
     # The acceptance cell: kill+revive survived, everything certified.
     assert chaos["sites_killed"] >= 1, chaos

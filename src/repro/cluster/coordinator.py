@@ -123,14 +123,8 @@ class Cluster:
         lock_timeout: float = 2.0,
         certified: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        attach_ports: Optional[Sequence[int]] = None,
         txn_channels: bool = False,
     ) -> None:
-        if attach_ports is not None and certified:
-            # Several coordinators can share one fleet (the scaling
-            # bench does), but the merged-trace certifier needs to own
-            # the full stream: certification implies a spawning owner.
-            raise ValueError("certified=True requires owning the shards")
         self.map = ClusterMap(shards, replicated)
         self.initial = dict(initial)
         # Shard branch tables are connection-scoped, so a transaction is
@@ -163,20 +157,7 @@ class Cluster:
         self._tls = threading.local()
         self._closing = False
 
-        self.owns_shards = attach_ports is None
         self.sites: List[_Site] = []
-        if attach_ports is not None:
-            for index, port in enumerate(attach_ports):
-                site = _Site(index, "", None)
-                site.epoch = 0
-                site.port = port
-                site.admin = Channel("127.0.0.1", port)
-                site.admin.request({"op": "hello"})
-                site.up = True
-                site.write_included = True
-                site.read_fresh = True
-                self.sites.append(site)
-            return
         per_site = self.map.partition(self.initial)
         for index in range(shards):
             site_dir = os.path.join(self.base_dir, "site%d" % index)
@@ -466,15 +447,13 @@ class Cluster:
     def close(self) -> None:
         self._closing = True
         for site in self.sites:
-            if self.owns_shards and site.up and site.admin is not None:
+            if site.up and site.admin is not None:
                 try:
                     site.admin.request({"op": "shutdown"})
                 except WireClosed:
                     pass
             if site.admin is not None:
                 site.admin.close()
-            if not self.owns_shards:
-                continue
             if site.proc is not None:
                 try:
                     site.proc.kill()

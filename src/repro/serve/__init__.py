@@ -12,9 +12,10 @@ splits the problem the way a reactor splits I/O from CPU:
   front of the engine: one latch crossing begins / performs /
   commits a whole batch (the WAL group-commit pattern generalized to
   lock acquisition and trace publication), with commit acks coalesced
-  into group fsyncs;
-* :mod:`repro.serve.loadgen` — the saturation cells behind
-  ``benchmarks/bench_e15_saturation.py`` and ``scripts/serve_bench.py``.
+  into group fsyncs.
+
+Its speed is measured in one place: the ``served_durable`` workload and
+the ``serve`` ledger line of ``benchmarks/spine``.
 
 Every served trace is certifiable exactly like the sync paths: batch
 ops reserve their trace seqs under the engine latch and publish after

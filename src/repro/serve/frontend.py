@@ -22,8 +22,9 @@ Usage::
 
 Every session funnels through the submitter, so one latch crossing
 serves whole batches of concurrent sessions' operations and commit acks
-coalesce into group fsyncs — see docs/performance.md (E15) for what that
-does to committed txn/s at 1k/10k/100k concurrent sessions.
+coalesce into group fsyncs — docs/performance.md describes the design;
+the ``served_durable`` workload and the ``serve`` ledger line of
+``benchmarks/spine`` measure it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Session:
 
     Also an async context manager: ``async with frontend.session() as s``
     begins on entry, commits on clean exit, aborts (and re-raises) on
-    error — mirroring ``db.transaction()``.
+    error, a failing commit included — mirroring ``db.transaction()``.
     """
 
     __slots__ = ("_frontend", "_txn", "read_only", "_began_at")
@@ -95,12 +96,13 @@ class Session:
         on, the group fsync covering it — completes."""
         self._require_begun()
         submitted = time.perf_counter()
-        try:
-            await asyncio.wrap_future(
-                self._frontend.submitter.submit_commit(self._txn)
-            )
-        finally:
-            self._txn = None
+        await asyncio.wrap_future(
+            self._frontend.submitter.submit_commit(self._txn)
+        )
+        # Cleared only now: a commit that fails (the WAL rejecting a
+        # value, a poisoned fsync) leaves the transaction ACTIVE with its
+        # locks held, and abort() needs the handle to release them.
+        self._txn = None
         self._frontend._observe_commit(submitted, self._began_at)
 
     async def abort(self) -> None:
@@ -122,7 +124,11 @@ class Session:
 
     async def __aexit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         if exc_type is None:
-            await self.commit()
+            try:
+                await self.commit()
+            except BaseException:
+                await self.abort()
+                raise
         else:
             await self.abort()
 

@@ -130,10 +130,6 @@ class Firing:
             return False
 
 
-#: Backwards-compatible private alias (pre-chaos name).
-_Firing = Firing
-
-
 def _do_op(txn, op: Op, counters: _Counters) -> None:
     with counters.lock:
         counters.ops_attempted += 1

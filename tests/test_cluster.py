@@ -55,10 +55,14 @@ class TestWire:
 
     def test_protocol_log_counts(self):
         log = ProtocolLog(coordinator_node=4, keep=4)
-        for _ in range(5):
-            log.log_exchange(0, summary_for(U.child(1), "active"))
+        for i in range(5):
+            log.log_exchange(i % 2, summary_for(U.child(1), "active"))
         counts = log.counts()
         assert counts["messages_sent"] == 5
+        # Per-site accounting is complete: the sites' round trips add up
+        # to every message the coordinator sent.
+        assert log.site_exchanges() == {0: 3, 1: 2}
+        assert sum(log.site_exchanges().values()) == counts["messages_sent"]
         assert counts["messages_received"] == 5
         assert counts["summary_entries"] == 10
         # The event list is capped; the counters are not.

@@ -11,6 +11,7 @@ entry points.
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
 import time
 
@@ -20,6 +21,13 @@ from repro.engine import EngineConfig, NestedTransactionDB
 from repro.engine.errors import LockTimeout, TransactionAborted
 from repro.obs import MetricsRegistry
 from repro.serve import AsyncFrontend, BatchSubmitter
+
+# The byte-identical ``[striped]`` rerun of these tests is retired; the
+# surviving ``[global]`` id is the one the suite's floor list pins.
+PINNED_GLOBAL = pytest.mark.parametrize(
+    "retired_latch_axis", ["global"], indirect=True
+)
+
 
 def make_db(**kwargs):
     return NestedTransactionDB(
@@ -35,6 +43,7 @@ def run(coro):
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_session_context_manager_commits():
     db = make_db()
 
@@ -52,6 +61,7 @@ def test_session_context_manager_commits():
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_session_aborts_on_error():
     db = make_db()
 
@@ -85,6 +95,7 @@ def test_session_requires_begin():
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_many_concurrent_sessions():
     db = make_db()
     sessions = 200
@@ -142,6 +153,7 @@ def test_run_session_gives_up_after_max_retries():
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_rmw_and_single_mode_increment_expand():
     # rmw always expands to read_for_update + write through the queue;
     # increment degenerates the same way on a single-mode engine.
@@ -171,10 +183,104 @@ def test_read_only_session():
     run(main())
 
 
+async def _fail_via_run_session(frontend):
+    await frontend.run_session(lambda s: s.write("x", {1, 2}))
+
+
+async def _fail_via_context_manager(frontend):
+    async with frontend.session() as s:
+        await s.write("x", {1, 2})
+
+
+async def _fail_via_bare_commit(frontend):
+    s = await frontend.session().begin()
+    await s.write("x", {1, 2})
+    try:
+        await s.commit()
+    finally:
+        await s.abort()
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [_fail_via_run_session, _fail_via_context_manager, _fail_via_bare_commit],
+    ids=["run_session", "context_manager", "bare_commit_then_abort"],
+)
+def test_failed_commit_releases_the_transaction(tmp_path, drive):
+    # The WAL rejects a set (not JSON) and leaves the transaction ACTIVE
+    # for its owner to abort; the session must still hold the handle.
+    db = NestedTransactionDB(
+        {"x": 0},
+        config=EngineConfig(durability=str(tmp_path), lock_timeout=0.5),
+    )
+
+    async def main():
+        async with AsyncFrontend(db, workers=2) as frontend:
+            with pytest.raises(TypeError):
+                await drive(frontend)
+            db.assert_quiescent()
+            # A fresh writer of the same object commits first try.
+            await frontend.run_session(
+                lambda s: s.write("x", 1), max_retries=0
+            )
+
+    run(main())
+    assert db.read_committed("x") == 1
+    db.assert_quiescent()
+    db.close()
+
+
+def test_ten_thousand_held_sessions_commit_certified():
+    # 10k session coroutines alive at once behind a 256-wide admission
+    # window: the event loop holds the fleet, the batch path batches and
+    # the streaming certifier follows the whole served trace.
+    sessions = 10_000
+    n_obj = 4 * sessions
+    db = NestedTransactionDB(
+        {"o%d" % i: 0 for i in range(n_obj)},
+        config=EngineConfig(certify="streaming"),
+    )
+    registry = MetricsRegistry(enabled=True)
+    rng = random.Random(15)
+    targets = [
+        ["o%d" % rng.randrange(n_obj) for _ in range(3)]
+        for _ in range(sessions)
+    ]
+
+    async def one(frontend, admission, objs):
+        async def body(s):
+            await s.increment(objs[0], 1)
+            await s.increment(objs[1], 1)
+            return await s.read(objs[2])
+
+        async with admission:
+            await frontend.run_session(body)
+
+    async def main():
+        admission = asyncio.Semaphore(256)
+        async with AsyncFrontend(
+            db, workers=2, max_batch=128, metrics=registry
+        ) as frontend:
+            results = await asyncio.gather(
+                *[one(frontend, admission, objs) for objs in targets],
+                return_exceptions=True,
+            )
+        assert [r for r in results if r is not None] == []
+
+    run(main())
+    assert db.stats.committed == sessions
+    assert sum(db.snapshot().values()) == 2 * sessions
+    db.assert_certified()
+    db.assert_quiescent()
+    counters = registry.snapshot()["counters"]
+    assert counters["serve_batches_total"] < counters["serve_ops_total"]
+
+
 # -- the submitter's park/retry path ----------------------------------------
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_blocked_op_parks_then_wakes_on_commit():
     db = make_db()
     sub = BatchSubmitter(db, workers=2, max_batch=16)
@@ -430,6 +536,7 @@ def test_try_perform_batch_statuses():
 
 
 @pytest.mark.usefixtures("retired_latch_axis")
+@PINNED_GLOBAL
 def test_commit_batch_group_commits(tmp_path):
     db = NestedTransactionDB(
         {"x": 0, "y": 0},
