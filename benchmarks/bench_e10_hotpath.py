@@ -7,11 +7,12 @@ from, plus end-to-end transaction latency with everything else stripped
 away:
 
 * **name ops** — ``ActionName`` hash / equality / ``parent()`` /
-  ``is_ancestor_of`` / ``lca`` rates (these run on every dict lookup in
-  every lock table, waits-for edge, version stack, and txn registry);
-* **conflict checks** — ``ObjectLocks.conflicts_with`` rates for the
-  common shapes (empty table, sole holder = requester, sole holder =
-  ancestor, one genuine conflict);
+  ``is_ancestor_of`` / ``lca`` rates (the trace, the checkers and the
+  waits-for graph run on names; the engine's own tables are keyed by
+  path tuples and never call them);
+* **conflict checks** — ``ObjectLocks.conflicts_with`` rates on path-tuple
+  keys for the common shapes (empty table, sole holder = requester,
+  sole holder = ancestor, one genuine conflict);
 * **single-thread txn latency** — committed-transaction throughput and
   per-txn latency with one thread (no contention: pure bookkeeping
   cost), trace on / off, for a flat and a nested transaction shape;
@@ -19,9 +20,9 @@ away:
   low-skew object population.
 
 The committed artifact ``benchmarks/results/BENCH_e10_hotpath.json``
-holds a ``baseline`` section (measured at the pre-optimization commit)
-and an ``optimized`` section, plus down-scaled E1/E4 cells as the first
-entries of the repo's perf trajectory.
+holds a ``baseline`` section (the parent commit of the last hot-path
+change, measured on the same host in the same session) and an
+``optimized`` section, plus down-scaled E1/E4 cells.
 
 Regression gate (used by the CI ``perf-smoke`` job)::
 
@@ -150,9 +151,9 @@ def bench_name_ops(n: int) -> Dict[str, float]:
 
 
 def bench_conflict_checks(n: int) -> Dict[str, float]:
-    requester = U.child(1).child(0)
-    ancestor = U.child(1)
-    stranger = U.child(2)
+    requester = (1, 0)  # lock holders are path tuples (Transaction.key)
+    ancestor = (1,)
+    stranger = (2,)
 
     empty = ObjectLocks()
 
@@ -369,11 +370,6 @@ def _gate_value(section: Dict[str, Any]) -> Optional[float]:
         if not isinstance(node, dict) or key not in node:
             return None
         node = node[key]
-        if key == "txn_single_thread" and "global" in node:
-            # The committed artifact predates the single-latch engine and
-            # holds one block per latch mode; "global" is the engine that
-            # survived.
-            node = node["global"]
     return node.get("latency_calibrated") or None
 
 

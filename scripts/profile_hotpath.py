@@ -9,25 +9,31 @@ go?" before and after touching the hot path::
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --no-trace --sort tottime
+    PYTHONPATH=src python scripts/profile_hotpath.py --nested
     PYTHONPATH=src python scripts/profile_hotpath.py --certified
+    PYTHONPATH=src python scripts/profile_hotpath.py --nested --count-only
 
-``--certified`` runs the measurement spine's nested program shape (four
-sequential subtransactions of one read and two read-for-update + write
-pairs: 30 trace records per transaction) with ``record_trace=True,
-certify="streaming"``, and before the profile prints how many
-``ActionName._of`` / interning-table ``setdefault`` calls one trace record
-costs and how many of them were made on behalf of ``repro/checker/``.
-Those are counts of a deterministic run, so they repeat exactly: "the
-certifier interns no names" is checked as ``0``, not inferred from a
-timing.
+``--nested`` and ``--certified`` run the measurement spine's nested
+program shape (four sequential subtransactions of one read and two
+read-for-update + write pairs: 20 accesses, 30 trace records per
+transaction) — ``--nested`` bare (``record_trace=False``, nobody reads a
+name), ``--certified`` with ``record_trace=True, certify="streaming"``.
+Before the profile each prints how many times an ``ActionName`` came into
+being (``__init__`` / ``_of`` / ``child``) and how often the interning
+table was probed (``get`` / ``setdefault``), in total and with a
+``repro/checker/`` frame on the stack.  Those are counts of a
+deterministic run, so they repeat exactly: "the engine mints no name
+unless someone reads it" and "the certifier interns no names" are checked
+as ``0``, not inferred from a timing.  ``--count-only`` stops after the
+counts and, with ``--nested``, exits non-zero unless every one of them is
+zero — the deterministic guard the ``perf-smoke`` CI job runs.
 
 Findings are stable across runs because the workload is deterministic
-(seeded RNG, fixed object pool).  After the hot-path overhaul the
-remaining profile is dominated by the unavoidable skeleton — latch
-acquire/release (``threading`` internals), the ``conflicts_with`` loop,
-and version-stack reads — rather than by name re-validation, trace
-dataclass construction, or ``time.monotonic`` calls, which previously
-accounted for a large share of inclusive time.
+(seeded RNG, fixed object pool).  The engine is keyed by path tuples, so
+the remaining profile is the skeleton — latch acquire/release
+(``threading`` internals), the ``conflicts_with`` loop, version-stack
+reads and lock inheritance at commit — with no ``ActionName.__hash__`` /
+``__eq__`` frames at all on an untraced run.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import os
 import pstats
 import random
 import sys
+from contextlib import contextmanager
+from typing import Dict, Iterator
 
 
 def run_workload(
@@ -45,7 +53,6 @@ def run_workload(
     ops: int,
     objects: int,
     trace: bool,
-    nested: bool,
     seed: int = 42,
 ) -> None:
     from repro.engine import EngineConfig, NestedTransactionDB
@@ -56,35 +63,28 @@ def run_workload(
     names = list(initial)
     for _ in range(txns):
         txn = db.begin_transaction()
-        if nested:
-            for _ in range(2):
-                child = txn.begin_subtransaction()
-                for i in range(ops // 2):
-                    obj = names[rng.randrange(len(names))]
-                    if i % 2 == 0:
-                        child.read(obj)
-                    else:
-                        child.write(obj, i)
-                child.commit()
-        else:
-            for i in range(ops):
-                obj = names[rng.randrange(len(names))]
-                if i % 2 == 0:
-                    txn.read(obj)
-                else:
-                    txn.write(obj, i)
+        for i in range(ops):
+            obj = names[rng.randrange(len(names))]
+            if i % 2 == 0:
+                txn.read(obj)
+            else:
+                txn.write(obj, i)
         txn.commit()
 
 
-def run_certified(txns: int, objects: int, seed: int = 42):
-    """The spine's nested program shape under the streaming certifier;
-    returns the engine (finished and certified)."""
+def run_nested(txns: int, objects: int, certified: bool, seed: int = 42):
+    """The spine's nested program shape, bare (no trace) or under the
+    streaming certifier; returns the engine (finished, and certified
+    when asked)."""
     from repro.engine import EngineConfig, NestedTransactionDB
 
     initial = {"x%d" % i: 1000 for i in range(objects)}
-    db = NestedTransactionDB(
-        initial, config=EngineConfig(record_trace=True, certify="streaming")
+    config = (
+        EngineConfig(record_trace=True, certify="streaming")
+        if certified
+        else EngineConfig(record_trace=False)
     )
+    db = NestedTransactionDB(initial, config=config)
     rng = random.Random(seed)
     names = list(initial)
     for _ in range(txns):
@@ -98,67 +98,75 @@ def run_certified(txns: int, objects: int, seed: int = 42):
             child.write(dst, child.read_for_update(dst) + amount)
             child.commit()
         top.commit()
-    db.certifier.finish()
-    db.assert_certified()
+    if certified:
+        db.certifier.finish()
+        db.assert_certified()
     return db
 
 
-def count_interning(txns: int, objects: int) -> None:
-    """Run the certified workload with counting shims on the two interning
-    entry points and print calls per trace record, in total and with a
-    ``repro/checker/`` frame on the stack."""
+#: What :func:`counting_names` counts: the three ways an ``ActionName``
+#: comes into being and the two ways the interning table is probed.
+NAME_COUNTERS = ("__init__", "_of", "child", "get", "setdefault")
+
+
+@contextmanager
+def counting_names() -> Iterator[Dict[str, int]]:
+    """Counting shims on every ``ActionName`` constructor and interning
+    probe; yields the live counts — each counter in total and, as
+    ``<counter>_checker``, with a ``repro/checker/`` frame on the stack."""
     from repro.core import naming
 
     checker_dir = os.sep + os.path.join("repro", "checker") + os.sep
-    counts = {"_of": 0, "_of_checker": 0, "setdefault": 0, "setdefault_checker": 0}
+    counts = {key: 0 for name in NAME_COUNTERS for key in (name, name + "_checker")}
 
-    def from_checker() -> bool:
-        frame = sys._getframe(2)
-        while frame is not None:
-            if checker_dir in frame.f_code.co_filename:
-                return True
-            frame = frame.f_back
-        return False
+    def counted(label, real):
+        def shim(*args, **kwargs):
+            counts[label] += 1
+            frame = sys._getframe(1)
+            while frame is not None:
+                if checker_dir in frame.f_code.co_filename:
+                    counts[label + "_checker"] += 1
+                    break
+                frame = frame.f_back
+            return real(*args, **kwargs)
 
-    real_of = naming.ActionName._of.__func__
-    real_setdefault = naming._INTERNED.setdefault
+        return shim
 
-    def counting_of(cls, path):
-        counts["_of"] += 1
-        counts["_of_checker"] += from_checker()
-        return real_of(cls, path)
-
-    def counting_setdefault(key, default=None):
-        counts["setdefault"] += 1
-        counts["setdefault_checker"] += from_checker()
-        return real_setdefault(key, default)
-
-    naming.ActionName._of = classmethod(counting_of)
-    naming._INTERNED.setdefault = counting_setdefault
+    cls = naming.ActionName
+    table = naming._INTERNED
+    real_init, real_child, real_of = cls.__init__, cls.child, cls._of.__func__
+    cls.__init__ = counted("__init__", real_init)
+    cls.child = counted("child", real_child)
+    cls._of = classmethod(counted("_of", real_of))
+    table.get = counted("get", table.get)
+    table.setdefault = counted("setdefault", table.setdefault)
     try:
-        db = run_certified(txns, objects)
+        yield counts
     finally:
-        naming.ActionName._of = classmethod(real_of)
-        del naming._INTERNED.setdefault
-    records = len(db.trace)
+        cls.__init__, cls.child = real_init, real_child
+        cls._of = classmethod(real_of)
+        del table.get, table.setdefault
+
+
+def count_names(txns: int, objects: int, certified: bool) -> Dict[str, int]:
+    """Run the nested workload under :func:`counting_names`, print each
+    count (total, per transaction, made on behalf of ``repro/checker/``)
+    and return them."""
+    with counting_names() as counts:
+        db = run_nested(txns, objects, certified)
+    records = len(db.trace) if db.trace is not None else 0
     print(
-        "interning on the certified path: %d txns, %d trace records (%.1f/txn)"
-        % (txns, records, records / txns)
+        "names on the %s nested path: %d txns, %d trace records (%.1f/txn)"
+        % ("certified" if certified else "bare", txns, records, records / txns)
     )
-    for label, key in (
-        ("ActionName._of", "_of"),
-        ("_INTERNED.setdefault", "setdefault"),
-    ):
+    for name in NAME_COUNTERS:
+        owner = "_INTERNED." if name in ("get", "setdefault") else "ActionName."
         print(
-            "  %-22s %8d calls (%.3f/record), %d from repro/checker/ (%.3f/record)"
-            % (
-                label,
-                counts[key],
-                counts[key] / records,
-                counts[key + "_checker"],
-                counts[key + "_checker"] / records,
-            )
+            "  %-22s %8d calls (%.3f/txn), %d from repro/checker/"
+            % (owner + name, counts[name], counts[name] / txns,
+               counts[name + "_checker"])
         )
+    return counts
 
 
 def main(argv=None) -> int:
@@ -169,17 +177,25 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-trace", action="store_true", help="disable trace recording"
     )
-    parser.add_argument(
+    shape = parser.add_mutually_exclusive_group()
+    shape.add_argument(
         "--nested",
         action="store_true",
-        help="run ops inside two subtransactions per txn",
+        help="profile the spine's nested shape bare (no trace, no "
+        "certifier) and count ActionName constructions and interning "
+        "probes (ignores --ops/--no-trace)",
     )
-    parser.add_argument(
+    shape.add_argument(
         "--certified",
         action="store_true",
-        help="profile the spine's nested shape under the streaming "
-        "certifier and count interning calls per record "
-        "(ignores --ops/--no-trace/--nested)",
+        help="the same shape under the streaming certifier, with the "
+        "same counts (ignores --ops/--no-trace)",
+    )
+    parser.add_argument(
+        "--count-only",
+        action="store_true",
+        help="with --nested/--certified: print the counts and skip the "
+        "profile; with --nested, exit 1 unless every count is zero",
     )
     parser.add_argument(
         "--sort",
@@ -191,43 +207,41 @@ def main(argv=None) -> int:
         "--out", default=None, help="also save raw stats to this file"
     )
     args = parser.parse_args(argv)
+    spine_shape = args.nested or args.certified
+    if args.count_only and not spine_shape:
+        parser.error("--count-only needs --nested or --certified")
 
     import repro.engine  # noqa: F401 - import cost outside the profile
 
-    if args.certified:
+    if spine_shape:
         # Counted in its own run: the shims would distort the profile.
-        count_interning(args.txns, args.objects)
+        counts = count_names(args.txns, args.objects, args.certified)
+        if args.count_only:
+            minted = sum(counts[name] for name in NAME_COUNTERS)
+            if args.nested and minted:
+                print("FAIL: the bare engine path touched ActionName %d times" % minted)
+                return 1
+            return 0
 
     profiler = cProfile.Profile()
     profiler.enable()
-    if args.certified:
-        run_certified(args.txns, args.objects)
+    if spine_shape:
+        run_nested(args.txns, args.objects, args.certified)
     else:
-        run_workload(
-            args.txns,
-            args.ops,
-            args.objects,
-            not args.no_trace,
-            args.nested,
-        )
+        run_workload(args.txns, args.ops, args.objects, not args.no_trace)
     profiler.disable()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort)
-    if args.certified:
+    if spine_shape:
         print(
-            "certified hot path profile: %d nested txns, %d objects"
-            % (args.txns, args.objects)
+            "%s hot path profile: %d nested txns, %d objects"
+            % ("certified" if args.certified else "bare", args.txns, args.objects)
         )
     else:
         print(
-            "hot path profile: %d txns x %d ops, trace=%s nested=%s"
-            % (
-                args.txns,
-                args.ops,
-                not args.no_trace,
-                args.nested,
-            )
+            "hot path profile: %d txns x %d ops, trace=%s"
+            % (args.txns, args.ops, not args.no_trace)
         )
     stats.print_stats(args.lines)
     if args.out:

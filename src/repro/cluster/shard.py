@@ -143,8 +143,8 @@ class ShardServer:
         op = message["op"]
         if op == "begin":
             txn = self.db.begin_transaction()
-            branches[tuple(txn.name.path)] = txn
-            return {"ok": True, "branch": list(txn.name.path)}
+            branches[txn.key] = txn
+            return {"ok": True, "branch": list(txn.key)}
 
         branch = tuple(message["branch"])
         txn = branches.get(branch)

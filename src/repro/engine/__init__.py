@@ -26,7 +26,7 @@ from .recovery import (
     retry_subtransaction,
 )
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .storage import VersionedStore, VersionStack
+from .storage import VersionStack
 from .trace import TraceBusBridge, TraceRecord, TraceRecorder
 from .transaction import Outcome, Transaction
 
@@ -60,7 +60,6 @@ __all__ = [
     "TransactionAborted",
     "UnknownObject",
     "VersionStack",
-    "VersionedStore",
     "WaitsForGraph",
     "WRITE",
     "YOUNGEST",

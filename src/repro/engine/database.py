@@ -21,6 +21,13 @@ preconditions — and the engine states each of them once:
   (Moss lock inheritance), shared by ``commit()`` and ``commit_batch``;
 * :meth:`NestedTransactionDB._abort_subtree_locked` — abort a subtree.
 
+**Identity is the path.**  Lock holders, version owners, snapshot
+horizons and the registry are keyed by ``Transaction.key`` (a path tuple;
+ancestry is a prefix test).  An ``ActionName`` is built only where the
+paper's name is observable: ``Transaction.name``, trace records, events,
+the WAL, exceptions and waits-for edges (conflict path only).  The
+registry holds *live* transactions only, so an engine at rest is empty.
+
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
 recorder, WAL, metrics).  Trace publication, event fan-out and the
 durable fsync all happen after the latch is released.  See DESIGN.md
@@ -59,7 +66,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 from contextlib import contextmanager
 
 from ..core.action_tree import ABORTED, ACTIVE, COMMITTED
-from ..core.naming import U, ActionName
+from ..core.naming import ActionName
 from ..obs import (
     DeadlockDetected,
     EventBus,
@@ -86,7 +93,7 @@ from .errors import (
 from ..durability import DurabilityManager
 from .locks import INCREMENT, READ, WRITE, ObjectLocks
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .storage import VersionedStore
+from .storage import ROOT, Key, VersionStack
 from .trace import COMMIT, CREATE, PERFORM, TraceRecord, TraceRecorder
 from .transaction import Transaction
 
@@ -181,8 +188,13 @@ class NestedTransactionDB:
             manager.bind(self.metrics, self.events)
             initial = manager.recover(initial).values
             self.durability = manager
-        self._store = VersionedStore(initial)
-        self._locks: Dict[str, ObjectLocks] = {obj: ObjectLocks() for obj in initial}
+        self._initial: Dict[str, Any] = dict(initial)
+        # One record per object — its Moss lock holders beside its
+        # version stack — so a data access is one dict probe.
+        self._objects: Dict[str, Tuple[ObjectLocks, VersionStack]] = {
+            obj: (ObjectLocks(), VersionStack(value))
+            for obj, value in self._initial.items()
+        }
         self.stats: ObservableStats = ObservableStats()
         self.stats.bind(self.metrics)
         # Hot-path histograms are resolved once; samples go through each
@@ -192,14 +204,17 @@ class NestedTransactionDB:
         self._h_inherit = self.metrics.histogram("engine_lock_inherit_seconds")
         self._waits = WaitsForGraph()
         self._waits.bind(self.metrics)
-        self._txns: Dict[ActionName, Transaction] = {}
+        # Live (ACTIVE) transactions only, by key: one leaves in the
+        # critical section that commits or aborts it.  A lock holder not
+        # in here is therefore dead (what lazy cleanup may reap).
+        self._txns: Dict[Key, Transaction] = {}
         self._top_counter = itertools.count()
         # Multiversion commit clock: every non-read-only top-level commit
         # takes the next stamp; snapshot (read-only) transactions pin the
         # clock value at begin as their horizon.  Both the clock and the
         # active-horizon registry are guarded by the latch.
         self._commit_stamp = 0
-        self._snapshot_horizons: Dict[ActionName, int] = {}
+        self._snapshot_horizons: Dict[Key, int] = {}
         self.single_mode = config.single_mode
         self.deadlock_policy = config.deadlock_policy
         self.detect_deadlocks = config.detect_deadlocks
@@ -245,8 +260,8 @@ class NestedTransactionDB:
         :class:`~repro.engine.errors.ReadOnlyViolation`.
         """
         with self._cond:
-            name = U.child(next(self._top_counter))
-            txn, seq = self._begin_locked(name, parent=None, read_only=read_only)
+            key = (next(self._top_counter),)
+            txn, seq = self._begin_locked(key, None, read_only)
         self._publish_begin(txn, seq)
         return txn
 
@@ -324,12 +339,16 @@ class NestedTransactionDB:
     def snapshot(self) -> Dict[str, Any]:
         """Permanently committed values of all objects."""
         with self._cond:
-            return self._store.snapshot()
+            return self._snapshot_locked()
+
+    def _snapshot_locked(self) -> Dict[str, Any]:
+        # The committed-to-U values: every stack's base entry is U's.
+        return {obj: stack.entries[0][1] for obj, (_, stack) in self._objects.items()}
 
     @property
     def initial_values(self) -> Dict[str, Any]:
         """The initial value assignment (the oracle replays from it)."""
-        return {obj: self._store.initial_value(obj) for obj in self._store.objects}
+        return dict(self._initial)
 
     def contention_profile(self, top: int = 10) -> List[Tuple[str, int]]:
         """The hottest objects by lock-wait count, descending — the first
@@ -352,20 +371,18 @@ class NestedTransactionDB:
         every stress run.
         """
         with self._cond:
-            active = [
-                txn.name for txn in self._txns.values() if txn.status == ACTIVE
-            ]
-            if active:
-                raise AssertionError("active transactions remain: %r" % active)
+            if self._txns:
+                raise AssertionError(
+                    "active transactions remain: %r"
+                    % [txn.name for txn in self._txns.values()]
+                )
             if not self.lazy_lock_cleanup:
-                for obj, locks in self._locks.items():
+                for obj, (locks, stack) in self._objects.items():
                     if locks.holders:
                         raise AssertionError(
                             "locks leaked on %s: %r" % (obj, locks)
                         )
-                for obj in self._store.objects:
-                    stack = self._store.stack(obj)
-                    if len(stack.entries) != 1 or stack.owner != U:
+                    if len(stack.entries) != 1 or stack.owner != ROOT:
                         raise AssertionError(
                             "version stack not collapsed for %s: %r"
                             % (obj, stack)
@@ -402,14 +419,14 @@ class NestedTransactionDB:
 
     @property
     def objects(self) -> Tuple[str, ...]:
-        return self._store.objects
+        return tuple(self._objects)
 
     def read_committed(self, obj: str) -> Any:
         """The permanently committed value of one object."""
         with self._cond:
-            if obj not in self._store:
+            if obj not in self._objects:
                 raise UnknownObject(obj)
-            return self._store.committed_value(obj)
+            return self._objects[obj][1].entries[0][1]
 
     # -- lifecycle internals (called by Transaction) --------------------------------
 
@@ -427,27 +444,28 @@ class NestedTransactionDB:
                     "cannot begin a child of %s transaction %r"
                     % (parent.status, parent.name)
                 )
-            name = parent._next_child_name()
-            txn, seq = self._begin_locked(name, parent)
+            label = parent._child_counter
+            parent._child_counter = label + 1
+            txn, seq = self._begin_locked(parent.key + (label,), parent)
         self._publish_begin(txn, seq)
         return txn
 
     def _begin_locked(
         self,
-        name: ActionName,
+        key: Key,
         parent: Optional[Transaction],
         read_only: bool = False,
     ) -> Tuple[Transaction, Optional[int]]:
         """Register a new transaction (latch held).  Only the trace seq
         is reserved here; the record and the event fan-out happen in
         :meth:`_publish_begin`, after the latch is released."""
-        txn = Transaction(self, name, parent, read_only=read_only)
+        txn = Transaction(self, key, parent, read_only)
         if read_only and parent is None:
             # Pin the snapshot horizon under the latch: every commit
             # stamped <= horizon has fully merged into the base versions.
             txn.snapshot_horizon = self._commit_stamp
-            self._snapshot_horizons[name] = self._commit_stamp
-        self._txns[name] = txn
+            self._snapshot_horizons[key] = self._commit_stamp
+        self._txns[key] = txn
         if parent is not None:
             parent.children.append(txn)
         self.stats.begun += 1
@@ -512,13 +530,16 @@ class NestedTransactionDB:
             else None
         )
         txn.status = COMMITTED
+        # Forgotten: out of the registry, its (finished) children unlinked.
+        del self._txns[txn.key]
+        txn.children.clear()
         commit_seq = (
             self.trace.reserve_seq() if self.trace is not None else None
         )
         stamp = prune_below = None
         if txn.parent is None:
             if txn.read_only:
-                self._snapshot_horizons.pop(txn.name, None)
+                self._snapshot_horizons.pop(txn.key, None)
             else:
                 self._commit_stamp += 1
                 stamp = self._commit_stamp
@@ -528,7 +549,8 @@ class NestedTransactionDB:
                 )
         inherited = tuple(txn.held_objects)
         self._inherit_locks(txn, stamp, prune_below)
-        self._waits.remove_transaction(txn.name)
+        if not self._waits.idle():
+            self._waits.remove_transaction(txn.name)
         self.stats.committed += 1
         self._cond.notify_all()
         return commit_seq, stamp, inherited, wal_lsn
@@ -560,12 +582,13 @@ class NestedTransactionDB:
             return None
         writes: Dict[str, Any] = {}
         deltas: Dict[str, Any] = {}
+        key = txn.key
         for obj in txn.held_objects:
-            stack = self._store.stack(obj)
-            entry = stack.version_of(txn.name)
+            stack = self._objects[obj][1]
+            entry = stack.version_of(key)
             if entry is not None:
                 writes[obj] = entry[1]
-            delta = stack.delta_of(txn.name)
+            delta = stack.delta_of(key)
             if delta is not None:
                 deltas[obj] = delta
         if not writes and not deltas:
@@ -602,7 +625,7 @@ class NestedTransactionDB:
         durability = self.durability
         assert durability is not None and durability.wal is not None
         with self._cond:
-            return durability.wal.last_lsn, self._store.snapshot()
+            return durability.wal.last_lsn, self._snapshot_locked()
 
     def close(self) -> None:
         """Flush and close the durability layer (if any) and any event
@@ -618,19 +641,18 @@ class NestedTransactionDB:
         stamp: Optional[int] = None,
         prune_below: Optional[int] = None,
     ) -> None:
+        """Level-3/4 ``release-lock``, O(objects ``txn`` holds); an
+        object it only read has no version to merge."""
         started = time.monotonic() if self.metrics.enabled else None
         parent = txn.parent
-        name = txn.name
-        parent_name = parent.name if parent is not None else U
+        key = txn.key
+        objects = self._objects
         for obj in txn.held_objects:
-            locks = self._locks[obj]
-            if parent is None:
-                locks.discard(name)  # inherited by U: retained forever, blocks no one
-            else:
-                locks.inherit(name, parent_name)
-            self._store.stack(obj).commit_to_parent(
-                name, parent_name, stamp, prune_below
-            )
+            locks, stack = objects[obj]
+            # A top-level's locks pass to U: retained forever, block no one.
+            mode = locks.discard(key) if parent is None else locks.inherit(key)
+            if mode != READ:
+                stack.commit_to_parent(key, stamp, prune_below)
         if parent is not None:
             parent.held_objects |= txn.held_objects
         txn.held_objects = set()
@@ -652,16 +674,21 @@ class NestedTransactionDB:
         for child in txn.children:
             self._abort_subtree_locked(child, reason)
         txn.status = ABORTED
+        key = txn.key
+        del self._txns[key]  # forgotten, like a committed one
+        txn.children.clear()
         if txn.parent is None:
-            self._snapshot_horizons.pop(txn.name, None)
+            self._snapshot_horizons.pop(key, None)
         if self.trace is not None:
             self.trace.record_abort(txn.name)
         if not self.lazy_lock_cleanup:
             for obj in txn.held_objects:
-                self._locks[obj].discard(txn.name)
-                self._store.stack(obj).discard(txn.name)
+                locks, stack = self._objects[obj]
+                locks.discard(key)
+                stack.discard(key)
             txn.held_objects = set()
-        self._waits.remove_transaction(txn.name)
+        if not self._waits.idle():
+            self._waits.remove_transaction(txn.name)
         self.stats.aborted += 1
         # Notify at the point of release, not at the end of the caller's
         # section: a later raise in that section cannot lose the wake-up.
@@ -684,11 +711,13 @@ class NestedTransactionDB:
             return self._live_status_locked(txn)
 
     def _live_status_locked(self, txn: Transaction) -> bool:
-        # ``lineage`` is the ancestor chain frozen at begin (self-first);
-        # iterating it avoids chasing parent pointers on every check.
-        for node in txn.lineage:
+        # Self first: aborts flip statuses deepest-first.  Off the hot
+        # path — only finished handles and ``is_live`` get here.
+        node: Optional[Transaction] = txn
+        while node is not None:
             if node.status == ABORTED:
                 return False
+            node = node.parent
         return True
 
     def _check_live_locked(self, txn: Transaction) -> None:
@@ -784,26 +813,32 @@ class NestedTransactionDB:
             # acquired, so it neither blocks nor aborts writers.
             if kind != "read":
                 raise ReadOnlyViolation(txn.name, kind)
-            if obj not in self._store:
+            if obj not in self._objects:
                 raise UnknownObject(obj)
             self._check_live_locked(txn)
-            seen = self._store.stack(obj).value_at(txn.snapshot_horizon)
+            seen = self._objects[obj][1].value_at(txn.snapshot_horizon)
             self.stats.snapshot_reads += 1
             return seen, (trace.reserve_seq() if trace is not None else None)
-        locks = self._locks.get(obj)
-        if locks is None:
+        record = self._objects.get(obj)
+        if record is None:
             raise UnknownObject(obj)
+        locks, stack = record
         mode = self._modes[kind]
-        name = txn.name
+        key = txn.key
         waits = self._waits
         while True:
-            self._check_live_locked(txn)
-            conflicts = locks.conflicts_with(name, mode, txn.ancestor_names)
+            if txn.status != ACTIVE:
+                self._check_live_locked(txn)  # raises: finished handle
+            conflicts = locks.conflicts_with(key, mode)
             if conflicts and self.lazy_lock_cleanup:
                 conflicts = self._reap_dead_holders_locked(obj, conflicts)
             if not conflicts:
                 break
-            changed = waits.set_waits(name, conflicts)
+            # Names appear on the conflict path only: the survivors are
+            # live, so the registry renders each as its (cached) name.
+            name = txn.name
+            blockers = [self._txns[holder].name for holder in conflicts]
+            changed = waits.set_waits(name, blockers)
             if changed and self.detect_deadlocks:
                 cycle = waits.find_cycle_from(name)
                 if cycle is not None:
@@ -812,29 +847,29 @@ class NestedTransactionDB:
             self.stats.lock_waits += 1
             self._object_waits[obj] += 1
             return None
-        locks.grant(name, mode)
+        locks.grant(key, mode)
         txn.held_objects.add(obj)
-        if waits.has_waits(name):
-            # Lock-free probe: only a request that registered edges (this
+        if not waits.idle() and waits.has_waits(txn.name):
+            # Lock-free probes: only a request that registered edges (this
             # attempt's earlier rounds, or a previous BLOCKED attempt)
             # pays for the graph's leaf lock.
-            waits.clear_waits(name)
-        stack = self._store.stack(obj)
+            waits.clear_waits(txn.name)
         if mode == WRITE:
             # Outstanding increment deltas belong to ancestors of the
             # grantee (anything else would have conflicted); fold them
             # into real versions before pushing ours.
-            stack.materialize_deltas()
-            stack.ensure_version(name)
+            if stack.deltas:
+                stack.materialize_deltas()
+            stack.ensure_version(key)
         if kind == "write":
             seen = stack.current
-            stack.set_value(name, arg)
+            stack.set_value(key, arg)
             self.stats.writes += 1
         elif kind == "increment":
             # Blind access: there is no observed value; the certifiers
             # replay the delta instead of checking a label.
             seen = None
-            stack.add_delta(name, arg)
+            stack.add_delta(key, arg)
             self.stats.increments += 1
         else:
             seen = stack.effective_current() if stack.deltas else stack.current
@@ -855,28 +890,35 @@ class NestedTransactionDB:
                 VictimChosen(victim_name, self.deadlock_policy, name, len(cycle))
             )
         self._waits.clear_waits(name)
-        self._abort_subtree_locked(self._txns[victim_name], reason="deadlock")
+        # Graph nodes are live (a finishing transaction leaves the graph
+        # in the same section), hence registered.
+        victim = self._txns[victim_name.path]
+        self._abort_subtree_locked(victim, reason="deadlock")
         if victim_name.is_ancestor_of(name):
             raise DeadlockAbort(name, cycle)
 
     def _reap_dead_holders_locked(
-        self, obj: str, conflicts: List[ActionName]
-    ) -> List[ActionName]:
+        self, obj: str, conflicts: List[Key]
+    ) -> List[Key]:
         """Lazy lose-lock: conflicting holders that are dead get their lock
-        and version discarded now; the survivors still conflict."""
-        locks = self._locks[obj]
+        and version discarded now; the survivors still conflict.
+
+        A committed transaction's locks moved to its parent's key, so a
+        key still in the lock table is live (registered) or dead — and
+        the table entry is all that is left of a dead holder."""
+        locks, stack = self._objects[obj]
         survivors = []
         for holder in conflicts:
-            holder_txn = self._txns.get(holder)
-            if holder_txn is not None and not self._live_status_locked(holder_txn):
-                locks.discard(holder)
-                self._store.stack(obj).discard(holder)
-                holder_txn.held_objects.discard(obj)
-                self.stats.lazy_lock_reaps += 1
-                if self.events.enabled:
-                    self.events.emit(OrphanReaped(holder, "lazy lock reap"))
-            else:
+            if holder in self._txns:
                 survivors.append(holder)
+                continue
+            locks.discard(holder)
+            stack.discard(holder)
+            self.stats.lazy_lock_reaps += 1
+            if self.events.enabled:
+                self.events.emit(
+                    OrphanReaped(ActionName.make(holder), "lazy lock reap")
+                )
         return survivors
 
     # -- batched submission (the serve front-end's entry points) -----------------
@@ -888,8 +930,9 @@ class NestedTransactionDB:
     # Ops that would block never stall a batch — they come back BLOCKED
     # and the caller retries them (the same attempt, later) or falls back
     # to the blocking path.  See src/repro/serve/batch.py for the
-    # submission queue in front of these entry points and
-    # docs/performance.md (E15) for the numbers.
+    # submission queue in front of these entry points and the measurement
+    # spine's ``served_durable`` workload and ``serve`` ledger line
+    # (benchmarks/spine/README.md) for the numbers.
 
     def begin_transaction_batch(
         self, count: int, read_only: bool = False
@@ -902,10 +945,8 @@ class NestedTransactionDB:
         pairs: List[Tuple[Transaction, Optional[int]]] = []
         with self._cond:
             for _ in range(count):
-                name = U.child(next(self._top_counter))
-                pairs.append(
-                    self._begin_locked(name, parent=None, read_only=read_only)
-                )
+                key = (next(self._top_counter),)
+                pairs.append(self._begin_locked(key, None, read_only))
         if self.trace is not None:
             self.trace.publish_many(
                 [_begin_record(txn, seq) for txn, seq in pairs]
@@ -1017,7 +1058,7 @@ class NestedTransactionDB:
 
     def __repr__(self) -> str:
         return "NestedTransactionDB(%d objects, %s)" % (
-            len(self._store.objects),
+            len(self._objects),
             "single-mode" if self.single_mode else "read/write",
         )
 

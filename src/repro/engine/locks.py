@@ -25,9 +25,9 @@ algebra for conformance checking.
 from __future__ import annotations
 
 from enum import Enum
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..core.naming import ActionName
+from .storage import Key
 
 READ = "read"
 WRITE = "write"
@@ -55,38 +55,31 @@ class LockMode(str, Enum):
 #: Shared no-conflict result.  ``conflicts_with`` runs on every data
 #: access, and the overwhelmingly common outcome is "no conflict" — so
 #: that path must not allocate.  Callers treat the result as read-only
-#: (the engine only iterates it or hands it to ``WaitsForGraph``, which
-#: copies); it compares equal to ``[]`` for the existing call sites.
-_NO_CONFLICTS: List[ActionName] = []
+#: (the engine only iterates it); it compares equal to ``[]`` for the
+#: existing call sites.
+_NO_CONFLICTS: List[Key] = []
 
 
 class ObjectLocks:
-    """Lock holders for a single object: txn → mode."""
+    """Lock holders for a single object: transaction key → mode.
+
+    Holders are path tuples (see :data:`repro.engine.storage.Key`), so
+    "``holder`` is the requester or one of its ancestors" — the only
+    ancestry question Moss's rules ask — is the prefix test
+    ``txn[:len(holder)] == holder``.
+    """
 
     __slots__ = ("holders",)
 
     def __init__(self) -> None:
-        self.holders: Dict[ActionName, str] = {}
+        self.holders: Dict[Key, str] = {}
 
-    def mode_of(self, txn: ActionName) -> Optional[str]:
+    def mode_of(self, txn: Key) -> Optional[str]:
         return self.holders.get(txn)
 
-    def write_holders(self) -> Iterator[ActionName]:
-        return (t for t, m in self.holders.items() if m == WRITE)
-
-    def conflicts_with(
-        self,
-        txn: ActionName,
-        mode: str,
-        ancestors: Optional[AbstractSet[ActionName]] = None,
-    ) -> Sequence[ActionName]:
+    def conflicts_with(self, txn: Key, mode: str) -> Sequence[Key]:
         """Holders that block a request by ``txn`` in ``mode`` — everyone
         relevant who is neither txn itself nor a proper ancestor of it.
-
-        ``ancestors`` (when given) is the requester's precomputed proper
-        ancestor set — :attr:`repro.engine.transaction.Transaction.ancestor_names`
-        — turning each ancestry test into an O(1) membership check
-        instead of a per-holder path comparison.
 
         The common shapes all take the no-allocation fast path: an empty
         table, or every holder being the requester / one of its
@@ -96,24 +89,19 @@ class ObjectLocks:
         holders = self.holders
         if not holders:
             return _NO_CONFLICTS
-        conflicts: Optional[List[ActionName]] = None
+        conflicts: Optional[List[Key]] = None
         for holder, held_mode in holders.items():
             if held_mode == mode and mode != WRITE:
                 continue  # read/read and increment/increment never conflict
-            if holder is txn or holder == txn:
-                continue
-            if ancestors is not None:
-                if holder in ancestors:
-                    continue
-            elif holder.is_proper_ancestor_of(txn):
-                continue
+            if holder is txn or txn[: len(holder)] == holder:
+                continue  # the requester itself, or an ancestor of it
             if conflicts is None:
                 conflicts = [holder]
             else:
                 conflicts.append(holder)
         return _NO_CONFLICTS if conflicts is None else conflicts
 
-    def grant(self, txn: ActionName, mode: str) -> None:
+    def grant(self, txn: Key, mode: str) -> None:
         current = self.holders.get(txn)
         if current is None:
             self.holders[txn] = mode
@@ -123,30 +111,28 @@ class ObjectLocks:
             # is exactly the write conflict profile.
             self.holders[txn] = WRITE
 
-    def inherit(
-        self, txn: ActionName, parent: Optional[ActionName] = None
-    ) -> None:
-        """Commit of txn: its lock (if any) passes to its parent, merging
-        modes upward on the lattice (write wins; read+increment merge to
-        write).  Callers that already know the parent name (the engine's
-        commit path does) pass it to skip the derivation."""
+    def inherit(self, txn: Key) -> Optional[str]:
+        """Commit of txn: its lock (if any) passes to its parent
+        ``txn[:-1]``, merging modes upward on the lattice (write wins;
+        read+increment merge to write).  Returns the mode that moved."""
         mode = self.holders.pop(txn, None)
-        if mode is None:
-            return
-        if parent is None:
-            parent = txn.parent()
-        existing = self.holders.get(parent)
-        if existing is None:
-            self.holders[parent] = mode
-        elif existing != mode and existing != WRITE:
-            self.holders[parent] = WRITE
+        if mode is not None:
+            parent = txn[:-1]
+            existing = self.holders.get(parent)
+            if existing is None:
+                self.holders[parent] = mode
+            elif existing != mode and existing != WRITE:
+                self.holders[parent] = WRITE
+        return mode
 
-    def discard(self, txn: ActionName) -> None:
-        """Abort of txn: its lock (if any) evaporates."""
-        self.holders.pop(txn, None)
+    def discard(self, txn: Key) -> Optional[str]:
+        """Abort of txn (or commit of a top-level, whose locks pass to
+        ``U`` and block no one): its lock (if any) evaporates.  Returns
+        the mode it held."""
+        return self.holders.pop(txn, None)
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            "%r:%s" % (t, m[0]) for t, m in sorted(self.holders.items())
+            "%r:%s" % (t, m[0]) for t, m in self.holders.items()
         )
         return "ObjectLocks{%s}" % parts

@@ -2,6 +2,8 @@
 
 Each object carries a stack of versions owned by a chain of transactions,
 the root ``U`` at the bottom holding the last permanently-committed value.
+Owners are path tuples (:data:`Key`, what an ``ActionName`` renders):
+``U`` is :data:`ROOT`, the empty path, and a parent's key is ``key[:-1]``.
 The top of the stack is the *principal value* — what the deepest current
 writer sees.  A transaction's first write pushes a version it owns; commit
 merges the top version into the parent's; abort pops it, restoring the
@@ -28,11 +30,15 @@ Two extensions beyond the plain stack:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.naming import U, ActionName
+from ..core.naming import Atom
 
 Value = Any
+#: The engine's internal identity of a transaction: its root path.
+Key = Tuple[Atom, ...]
+#: The key of the root action ``U``, owner of every committed base value.
+ROOT: Key = ()
 
 
 class VersionStack:
@@ -41,9 +47,9 @@ class VersionStack:
     __slots__ = ("entries", "deltas", "history")
 
     def __init__(self, initial: Value) -> None:
-        self.entries: List[Tuple[ActionName, Value]] = [(U, initial)]
+        self.entries: List[Tuple[Key, Value]] = [(ROOT, initial)]
         #: Pending blind-increment deltas by holder (usually empty).
-        self.deltas: Dict[ActionName, Value] = {}
+        self.deltas: Dict[Key, Value] = {}
         #: Committed versions as (stamp, value), stamp-ascending; entry 0
         #: is the floor every live snapshot horizon can still resolve.
         self.history: List[Tuple[int, Value]] = [(0, initial)]
@@ -65,19 +71,16 @@ class VersionStack:
         return value
 
     @property
-    def owner(self) -> ActionName:
+    def owner(self) -> Key:
         return self.entries[-1][0]
 
-    def owns_version(self, txn: ActionName) -> bool:
-        return self._index_of(txn) is not None
-
-    def ensure_version(self, txn: ActionName) -> None:
+    def ensure_version(self, txn: Key) -> None:
         """First write by txn: push a version owned by it (copying the
         current value) so an abort can restore what was beneath."""
         if self.entries[-1][0] != txn:
             self.entries.append((txn, self.entries[-1][1]))
 
-    def set_value(self, txn: ActionName, value: Value) -> None:
+    def set_value(self, txn: Key, value: Value) -> None:
         owner, _old = self.entries[-1]
         if owner != txn:
             raise AssertionError(
@@ -87,7 +90,7 @@ class VersionStack:
 
     # -- increment deltas --------------------------------------------------
 
-    def add_delta(self, txn: ActionName, delta: Value) -> None:
+    def add_delta(self, txn: Key, delta: Value) -> None:
         """A blind increment by ``txn``: fold into its own top version
         when it has one, otherwise accumulate a private pending delta."""
         top_owner, top_value = self.entries[-1]
@@ -97,7 +100,7 @@ class VersionStack:
         existing = self.deltas.get(txn)
         self.deltas[txn] = delta if existing is None else existing + delta
 
-    def delta_of(self, txn: ActionName) -> Optional[Value]:
+    def delta_of(self, txn: Key) -> Optional[Value]:
         return self.deltas.get(txn)
 
     def materialize_deltas(self) -> None:
@@ -110,7 +113,7 @@ class VersionStack:
         value beneath it."""
         if not self.deltas:
             return
-        for owner in sorted(self.deltas, key=lambda name: name.depth):
+        for owner in sorted(self.deltas, key=len):
             delta = self.deltas[owner]
             top_owner, top_value = self.entries[-1]
             if top_owner == owner:
@@ -123,50 +126,53 @@ class VersionStack:
 
     def commit_to_parent(
         self,
-        txn: ActionName,
-        parent: Optional[ActionName] = None,
+        txn: Key,
         stamp: Optional[int] = None,
         prune_below: Optional[int] = None,
     ) -> None:
-        """Merge txn's version into its parent's (level-4 release-lock)
-        and pass its pending increment delta upward.
+        """Merge txn's version into its parent's (level-4 release-lock:
+        a pop plus a pointer swing) and pass its pending increment delta
+        upward.
 
-        ``parent`` may be supplied by callers that already know it (the
-        engine's commit path does) to skip the name derivation.  A
-        top-level commit additionally passes its commit ``stamp``; when
+        A top-level commit additionally passes its commit ``stamp``; when
         the merge changes the base (U) value, a ``(stamp, value)``
         committed version is appended to :attr:`history` (and entries no
         active snapshot horizon can reach — below ``prune_below`` — are
         pruned)."""
-        if parent is None:
-            parent = txn.parent()
+        parent = txn[:-1]
+        entries = self.entries
         changed_base = False
-        index = self._index_of(txn)
+        index: Optional[int] = len(entries) - 1
+        if entries[index][0] != txn:
+            # Its descendants have finished, so a committer's version is
+            # the top entry — unless lazy cleanup left dead descendants'
+            # versions above it for a later lose-lock.
+            index = self._index_of(txn) if index else None
         if index is not None:
-            owner, value = self.entries[index]
-            if index > 0 and self.entries[index - 1][0] == parent:
-                changed_base = self.entries[index - 1][0] == U
-                self.entries[index - 1] = (parent, value)
-                del self.entries[index]
+            value = entries[index][1]
+            if entries[index - 1][0] == parent:
+                changed_base = not parent
+                entries[index - 1] = (parent, value)
+                del entries[index]
             else:
-                self.entries[index] = (parent, value)
+                entries[index] = (parent, value)
         delta = self.deltas.pop(txn, None)
         if delta is not None:
-            top_owner, top_value = self.entries[-1]
+            top_owner, top_value = entries[-1]
             if top_owner == parent:
                 # Fold straight into the parent's version (the base entry
                 # when committing a top-level increment-only holder).
-                self.entries[-1] = (top_owner, top_value + delta)
-                changed_base = changed_base or top_owner == U
+                entries[-1] = (top_owner, top_value + delta)
+                changed_base = changed_base or not parent
             else:
                 existing = self.deltas.get(parent)
                 self.deltas[parent] = (
                     delta if existing is None else existing + delta
                 )
         if changed_base and stamp is not None:
-            self.record_committed(stamp, self.entries[0][1], prune_below)
+            self.record_committed(stamp, entries[0][1], prune_below)
 
-    def discard(self, txn: ActionName) -> None:
+    def discard(self, txn: Key) -> None:
         """Abort of txn: drop its version and pending delta (level-4
         lose-lock)."""
         index = self._index_of(txn)
@@ -196,14 +202,14 @@ class VersionStack:
                 return value
         return self.history[0][1]
 
-    def version_of(self, txn: ActionName) -> Optional[Tuple[ActionName, Value]]:
+    def version_of(self, txn: Key) -> Optional[Tuple[Key, Value]]:
         """The (owner, value) entry owned by ``txn``, or None.  The WAL
         reads a committing top-level transaction's entries through this
         just before they merge into U."""
         index = self._index_of(txn)
         return None if index is None else self.entries[index]
 
-    def _index_of(self, txn: ActionName) -> Optional[int]:
+    def _index_of(self, txn: Key) -> Optional[int]:
         # Top-down: the overwhelmingly common case is the requester's own
         # version sitting at (or just under) the top of the stack, so the
         # scan is memoization-free but O(1) in practice.  An owner appears
@@ -218,48 +224,3 @@ class VersionStack:
         return "VersionStack[%s]" % ", ".join(
             "%r=%r" % (owner, value) for owner, value in self.entries
         )
-
-
-class VersionedStore:
-    """All objects' version stacks, plus snapshot/reset helpers."""
-
-    def __init__(self, initial: Mapping[str, Value]) -> None:
-        self._stacks: Dict[str, VersionStack] = {
-            obj: VersionStack(value) for obj, value in initial.items()
-        }
-        self._initial = dict(initial)
-
-    def __contains__(self, obj: str) -> bool:
-        return obj in self._stacks
-
-    @property
-    def objects(self) -> Tuple[str, ...]:
-        return tuple(self._stacks)
-
-    def stack(self, obj: str) -> VersionStack:
-        return self._stacks[obj]
-
-    def read(self, obj: str) -> Value:
-        return self._stacks[obj].current
-
-    def snapshot(self) -> Dict[str, Value]:
-        """The committed-to-U value of every object (bottom entries owned
-        by U; the top value of a quiescent store)."""
-        result = {}
-        for obj, stack in self._stacks.items():
-            base = stack.entries[0]
-            result[obj] = base[1] if base[0] == U else self._initial[obj]
-        return result
-
-    def committed_value(self, obj: str) -> Value:
-        """The permanently committed (U-owned base) value of one object."""
-        base_owner, base_value = self._stacks[obj].entries[0]
-        return base_value if base_owner == U else self._initial[obj]
-
-    def initial_value(self, obj: str) -> Value:
-        return self._initial[obj]
-
-    def reset(self) -> None:
-        self._stacks = {
-            obj: VersionStack(value) for obj, value in self._initial.items()
-        }

@@ -17,26 +17,21 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    FrozenSet,
     Iterator,
     List,
     Optional,
     Sequence,
     Set,
-    Tuple,
     TYPE_CHECKING,
 )
 
 from ..core.action_tree import ACTIVE
 from ..core.naming import U, ActionName
 from .errors import TransactionAborted
+from .storage import Key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import NestedTransactionDB
-
-
-#: Proper ancestors of every top-level transaction: just the root U.
-_TOP_LEVEL_ANCESTORS: "FrozenSet[ActionName]" = frozenset((U,))
 
 
 @dataclass
@@ -54,19 +49,34 @@ class Transaction:
     Handles are not thread-safe individually — use one handle per thread,
     creating sibling subtransactions for parallel work.  All shared state
     lives in the database under its latch.
+
+    **Identity is the path.**  ``key`` — ``parent.key + (label,)``; a
+    top-level's is ``(n,)``, ``U``'s ``()`` — is what the engine's tables
+    are keyed by, and ancestry is a tuple-prefix test on it.  The paper's
+    name (Section 3.1) is that path *rendered*: :attr:`name` builds the
+    :class:`ActionName` on first read, so a transaction nobody observes
+    by name (no trace, event sink, WAL or error) never mints one.
     """
+
+    __slots__ = (
+        "_db", "key", "parent", "status", "children", "held_objects",
+        "read_only", "snapshot_horizon", "_child_counter", "_access_counter",
+        "_name",
+    )
 
     def __init__(
         self,
         db: "NestedTransactionDB",
-        name: ActionName,
+        key: Key,
         parent: Optional["Transaction"],
         read_only: bool = False,
     ) -> None:
         self._db = db
-        self.name = name
+        self.key = key
         self.parent = parent
         self.status = ACTIVE
+        # Emptied when this transaction finishes: a finished tree keeps
+        # only child -> parent links and is freed by reference count.
         self.children: List["Transaction"] = []
         self._child_counter = 0
         self._access_counter = 0
@@ -78,33 +88,29 @@ class Transaction:
         self.snapshot_horizon: Optional[int] = (
             None if parent is None else parent.snapshot_horizon
         )
-        # Ancestry is frozen at begin (a transaction never reparents), so
-        # the engine's conflict checks and liveness walks use these
-        # caches instead of re-deriving chains from names on every
-        # operation.  ``ancestor_names`` is the *proper* ancestor set of
-        # ``name`` (U included); ``lineage`` is self-first, root-last —
-        # aborts flip statuses deepest-first, so checking self before the
-        # ancestors fails fastest.
-        if parent is None:
-            self.ancestor_names: FrozenSet[ActionName] = _TOP_LEVEL_ANCESTORS
-            self.lineage: Tuple["Transaction", ...] = (self,)
-        else:
-            self.ancestor_names = parent.ancestor_names | {parent.name}
-            self.lineage = (self,) + parent.lineage
+        self._name: Optional[ActionName] = None
 
     # -- identity ----------------------------------------------------------
 
     @property
+    def name(self) -> ActionName:
+        """The paper's name of this action, built on first read (a racing
+        double build stores equal values, so the cache is benign)."""
+        name = self._name
+        if name is None:
+            parent = self.parent
+            name = self._name = (U if parent is None else parent.name).child(
+                self.key[-1]
+            )
+        return name
+
+    @property
     def depth(self) -> int:
-        return self.name.depth
+        return len(self.key)
 
     def is_ancestor_of(self, other: "Transaction") -> bool:
-        return self.name.is_ancestor_of(other.name)
-
-    def _next_child_name(self) -> ActionName:
-        label = self._child_counter
-        self._child_counter += 1
-        return self.name.child(label)
+        """Reflexive, as the paper's ``anc``: a tuple-prefix test."""
+        return other.key[: len(self.key)] == self.key
 
     def next_access_name(self, kind: str) -> ActionName:
         label = "%s%d" % (kind[0], self._access_counter)

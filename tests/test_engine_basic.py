@@ -12,7 +12,6 @@ from repro.engine import (
     UnknownObject,
     VersionStack,
 )
-from repro.core.naming import U
 
 
 @pytest.fixture
@@ -154,7 +153,7 @@ class TestValues:
 class TestVersionStack:
     def test_push_and_restore(self):
         stack = VersionStack(5)
-        t = U.child(0)
+        t = (0,)
         stack.ensure_version(t)
         stack.set_value(t, 9)
         assert stack.current == 9
@@ -163,7 +162,7 @@ class TestVersionStack:
 
     def test_commit_merges_with_parent_entry(self):
         stack = VersionStack(0)
-        parent, child = U.child(0), U.child(0).child(1)
+        parent, child = (0,), (0, 1)
         stack.ensure_version(parent)
         stack.set_value(parent, 1)
         stack.ensure_version(child)
@@ -175,16 +174,16 @@ class TestVersionStack:
 
     def test_commit_retags_without_parent_entry(self):
         stack = VersionStack(0)
-        child = U.child(0).child(1)
+        child = (0, 1)
         stack.ensure_version(child)
         stack.set_value(child, 2)
         stack.commit_to_parent(child)
-        assert stack.owner == U.child(0)
+        assert stack.owner == (0,)
         assert stack.current == 2
 
     def test_ensure_version_idempotent(self):
         stack = VersionStack(0)
-        t = U.child(0)
+        t = (0,)
         stack.ensure_version(t)
         stack.ensure_version(t)
         assert len(stack.entries) == 2
@@ -192,11 +191,11 @@ class TestVersionStack:
     def test_set_value_wrong_owner_asserts(self):
         stack = VersionStack(0)
         with pytest.raises(AssertionError):
-            stack.set_value(U.child(0), 1)
+            stack.set_value((0,), 1)
 
     def test_discard_missing_is_noop(self):
         stack = VersionStack(0)
-        stack.discard(U.child(0))
+        stack.discard((0,))
         assert stack.current == 0
 
 

@@ -13,16 +13,23 @@ nothing; a poisoned batch keeps its survivors and wakes its waiters).
 from __future__ import annotations
 
 import dataclasses
+import gc
+import importlib.util
 import inspect
+import io
+import os
+import random
+import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checker import check_engine
-from repro.durability import DurabilityManager, replay_commits
+from repro.durability import DurabilityManager, list_segments, replay_commits
 from repro.engine import (
     DeadlockAbort,
     EngineConfig,
@@ -106,8 +113,9 @@ class BatchDriver:
         return (status, payload)
 
 
-def run_script(driver, steps):
-    """Drive ``steps`` and return everything an observer can compare."""
+def run_script(driver, steps, on_begin=lambda txn: None):
+    """Drive ``steps`` and return everything an observer can compare;
+    ``on_begin`` sees every new handle first."""
     db = driver.db
     slots = []
     outcomes = []
@@ -115,6 +123,7 @@ def run_script(driver, steps):
         action = step[0]
         if action == "top":
             slots.append(driver.begin(step[1]))
+            on_begin(slots[-1])
             continue
         if not slots:
             continue
@@ -122,6 +131,7 @@ def run_script(driver, steps):
         if action == "sub":
             try:
                 slots.append(txn.begin_subtransaction())
+                on_begin(slots[-1])
                 outcomes.append(("done", None))
             except EngineError as error:
                 outcomes.append(("error", type(error).__name__))
@@ -447,3 +457,210 @@ def test_waiter_wakes_when_a_batch_member_fails(tmp_path):
     assert db.read_committed("x") == 2
     db.assert_quiescent()
     db.close()
+
+
+# ---------------------------------------------------------------------------
+# A steady-state engine does not grow: finished transaction trees are
+# forgotten (registry entry dropped, parent -> child links cut) under the
+# latch that finishes them
+
+
+def spine_shaped_program(db, rng, names, child_abort_share=0.0):
+    """One nested program of the measurement spine's shape: four
+    sequential subtransactions of one read and two read-for-update +
+    write pairs; a share of them is aborted after its first write and
+    retried inside the parent (the injected, contained failure)."""
+    top = db.begin_transaction()
+    for _ in range(4):
+        read_obj, src, dst = rng.sample(names, 3)
+        if rng.random() < child_abort_share:
+            doomed = top.begin_subtransaction()
+            doomed.read(read_obj)
+            doomed.write(src, doomed.read_for_update(src) - 1)
+            doomed.abort()
+        child = top.begin_subtransaction()
+        child.read(read_obj)
+        child.write(src, child.read_for_update(src) - 1)
+        child.write(dst, child.read_for_update(dst) + 1)
+        child.commit()
+    top.commit()
+
+
+def staged_deadlock(db):
+    """T1 queues behind T0's lock; T0's child then asks for T1's and
+    closes the cycle: the ``blocker`` policy kills T1, everyone else
+    commits."""
+    t0, t1 = db.begin_transaction_batch(2)
+    t0.write("o0", t0.read_for_update("o0"))
+    t1.write("o1", t1.read_for_update("o1"))
+    assert db.try_perform_batch([(t1, "read", "o0", None)]) == [("blocked", None)]
+    child = t0.begin_subtransaction()
+    child.read("o1")  # closes the cycle; T1 is the victim
+    assert t1.status == "aborted"
+    child.commit()
+    t0.commit()
+
+
+def live_transaction_objects():
+    return sum(isinstance(o, database_module.Transaction) for o in gc.get_objects())
+
+
+def test_finished_transaction_trees_are_forgotten():
+    """5 000 nested programs, 10 % injected child aborts, a deadlock
+    victim every 500: afterwards the registry is empty, no Transaction
+    object survives — with the cyclic collector switched off, so only
+    reference counts can have freed them — and the heap has stopped
+    growing.  (No trace: a recorded trace is meant to grow.)"""
+    names = ["o%d" % i for i in range(64)]
+    db = NestedTransactionDB(
+        dict.fromkeys(names, 1000), config=EngineConfig(record_trace=False)
+    )
+    rng = random.Random(21)
+    gc.collect()  # other tests' garbage, before — never between run and count
+    before = live_transaction_objects()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for index in range(5000):
+            if index == 1000:
+                heap_at_1000 = tracemalloc.get_traced_memory()[0]
+            if index % 500 == 250:
+                staged_deadlock(db)
+            spine_shaped_program(db, rng, names, child_abort_share=0.10)
+        growth = tracemalloc.get_traced_memory()[0] - heap_at_1000
+        survivors = live_transaction_objects() - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert db._txns == {}
+    assert survivors <= 0  # this test holds no handle
+    assert growth < 32 * 1024, "heap grew %d bytes over 4 000 programs" % growth
+    assert db.stats.deadlocks == 10 and db.stats.aborted > 1000
+    assert sum(db.snapshot().values()) == 64 * 1000
+    db.assert_quiescent()
+
+
+def test_lazy_cleanup_reaps_a_holder_whose_tree_was_forgotten():
+    """Lazy cleanup leaves a dead holder's lock-table entry behind; the
+    entry is all that is left of it — registry slot and handles are
+    gone — and the next conflicting request still reaps it."""
+    db = NestedTransactionDB(
+        {"x": 0}, config=EngineConfig(lazy_lock_cleanup=True, lock_timeout=0.0)
+    )
+    gc.collect()
+    before = live_transaction_objects()
+    top = db.begin_transaction()
+    child = top.begin_subtransaction()
+    child.write("x", 5)
+    dead_key = child.key
+    top.abort()
+    del top, child
+    assert db._txns == {}
+    assert live_transaction_objects() <= before
+    assert db._objects["x"][0].mode_of(dead_key) == "write"  # still named
+    db.run_transaction(lambda t: t.write("x", t.read_for_update("x") + 1))
+    assert db.stats.lazy_lock_reaps == 1
+    assert db._objects["x"][0].holders == {}
+    assert db.snapshot() == {"x": 1}
+    db.assert_quiescent()
+
+
+# ---------------------------------------------------------------------------
+# Identity is the path; the name is its rendering — built when someone
+# reads it, and reading it (or not) changes nothing observable
+
+
+def load_profile_script():
+    """``scripts/profile_hotpath.py``: its counting shims are the ones
+    the ``perf-smoke`` CI guard runs, so the test and the guard agree."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scripts", "profile_hotpath.py",
+    )
+    spec = importlib.util.spec_from_file_location("profile_hotpath", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_no_name_is_minted_unless_someone_reads_it(record_trace):
+    """200 spine-shaped programs (5 transactions, 20 accesses each).
+    With no trace, no event sink and metrics off nobody reads a name, and
+    the engine constructs none and never probes the interning table: 0,
+    exactly.  With a trace every ``create`` record reads its
+    transaction's name (5) and every ``perform`` record its access's
+    (20); ``commit`` records reuse the cached one — and nothing more."""
+    profile = load_profile_script()
+    names = ["o%d" % i for i in range(64)]
+    db = NestedTransactionDB(
+        dict.fromkeys(names, 1000), config=EngineConfig(record_trace=record_trace)
+    )
+    rng = random.Random(5)
+    spine_shaped_program(db, rng, names)  # warm: nothing below is a first call
+    programs = 200
+    with profile.counting_names() as counts:
+        for _ in range(programs):
+            spine_shaped_program(db, rng, names)
+    minted = (5 + 20) * programs if record_trace else 0
+    assert counts == {
+        "__init__": 0, "__init___checker": 0,
+        "_of": 0, "_of_checker": 0,
+        "child": minted, "child_checker": 0,
+        "get": minted, "get_checker": 0,  # child()'s lookup-only probe
+        "setdefault": 0, "setdefault_checker": 0,
+    }
+    if record_trace:
+        assert len(db.trace) == 30 * (programs + 1)
+    db.assert_quiescent()
+
+
+class EventLog:
+    """An event sink keeping what is deterministic about each event."""
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        data = event.to_dict()
+        self.events.append(
+            {k: v for k, v in data.items() if not isinstance(v, float)}
+        )
+
+
+def observe_script(steps, lazy, on_begin):
+    """Run ``steps`` on a durable, traced, event-logging engine and
+    return everything the outside world can see of it."""
+    with tempfile.TemporaryDirectory() as directory:
+        db = NestedTransactionDB(
+            {obj: 0 for obj in OBJECTS},
+            config=EngineConfig(
+                durability=DurabilityManager(directory, fsync_fn=lambda fd: None),
+                lazy_lock_cleanup=lazy,
+                lock_timeout=0.0,
+            ),
+        )
+        log = db.events.attach(EventLog())
+        snapshot, stats, _trace, outcomes = run_script(
+            BlockingDriver(db), steps, on_begin
+        )
+        jsonl = io.StringIO()
+        db.trace.dump(jsonl)
+        db.close()
+        wal = []
+        for _seq, path in list_segments(directory):
+            with open(path, "rb") as fh:
+                wal.append(fh.read())
+    return snapshot, stats, outcomes, jsonl.getvalue(), wal, log.events
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(step, min_size=1, max_size=40), lazy=st.booleans())
+def test_reading_names_early_changes_nothing_observable(steps, lazy):
+    """Lazy materialisation is invisible: the JSONL trace, the WAL bytes,
+    the event stream, the counters and the final store are identical
+    whether every handle's ``name`` is read the moment it exists or only
+    where the engine itself needs it."""
+    lazily = observe_script(steps, lazy, on_begin=lambda txn: None)
+    eagerly = observe_script(steps, lazy, on_begin=lambda txn: txn.name)
+    assert lazily == eagerly

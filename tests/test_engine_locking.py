@@ -12,7 +12,6 @@ import time
 
 
 from repro.engine import EngineConfig, NestedTransactionDB, READ, WRITE, ObjectLocks
-from repro.core.naming import U
 
 WAIT = 5.0
 
@@ -24,29 +23,31 @@ def run_thread(fn):
 
 
 class TestObjectLocks:
+    """Holders are path tuples: ``(1,)`` is ``U.child(1)``'s key."""
+
     def test_write_blocks_non_ancestor(self):
         locks = ObjectLocks()
-        holder = U.child(1)
+        holder = (1,)
         locks.grant(holder, WRITE)
-        assert locks.conflicts_with(U.child(2), WRITE) == [holder]
-        assert locks.conflicts_with(U.child(2), READ) == [holder]
+        assert locks.conflicts_with((2,), WRITE) == [holder]
+        assert locks.conflicts_with((2,), READ) == [holder]
 
     def test_ancestor_holder_never_conflicts(self):
         locks = ObjectLocks()
-        locks.grant(U.child(1), WRITE)
-        child = U.child(1).child(0)
+        locks.grant((1,), WRITE)
+        child = (1, 0)
         assert locks.conflicts_with(child, WRITE) == []
         assert locks.conflicts_with(child, READ) == []
 
     def test_read_locks_are_shared(self):
         locks = ObjectLocks()
-        locks.grant(U.child(1), READ)
-        assert locks.conflicts_with(U.child(2), READ) == []
-        assert locks.conflicts_with(U.child(2), WRITE) == [U.child(1)]
+        locks.grant((1,), READ)
+        assert locks.conflicts_with((2,), READ) == []
+        assert locks.conflicts_with((2,), WRITE) == [(1,)]
 
     def test_upgrade_read_to_write(self):
         locks = ObjectLocks()
-        t = U.child(1)
+        t = (1,)
         locks.grant(t, READ)
         assert locks.conflicts_with(t, WRITE) == []
         locks.grant(t, WRITE)
@@ -57,7 +58,7 @@ class TestObjectLocks:
 
     def test_inherit_merges_modes(self):
         locks = ObjectLocks()
-        parent, child = U.child(1), U.child(1).child(0)
+        parent, child = (1,), (1, 0)
         locks.grant(parent, READ)
         locks.grant(child, WRITE)
         locks.inherit(child)
@@ -66,9 +67,9 @@ class TestObjectLocks:
 
     def test_discard(self):
         locks = ObjectLocks()
-        locks.grant(U.child(1), WRITE)
-        locks.discard(U.child(1))
-        assert locks.mode_of(U.child(1)) is None
+        locks.grant((1,), WRITE)
+        locks.discard((1,))
+        assert locks.mode_of((1,)) is None
 
 
 class TestBlockingBehaviour:

@@ -13,7 +13,7 @@ import threading
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.naming import U
+from repro.core.naming import U, ActionName
 from repro.engine import EngineConfig, NestedTransactionDB
 from repro.engine.locks import READ, WRITE, ObjectLocks
 from repro.engine.retry import RetryPolicy
@@ -22,10 +22,12 @@ from repro.checker import check_engine
 
 
 class TestConflictsWithFastPaths:
+    """Lock holders are path tuples (``Transaction.key``)."""
+
     def setup_method(self):
-        self.t1 = U.child(1)
-        self.t2 = U.child(2)
-        self.t1c = self.t1.child(0)
+        self.t1 = (1,)
+        self.t2 = (2,)
+        self.t1c = self.t1 + (0,)
 
     def test_empty_table_no_conflict(self):
         locks = ObjectLocks()
@@ -33,14 +35,20 @@ class TestConflictsWithFastPaths:
         assert locks.conflicts_with(self.t1, READ) == []
 
     def test_ancestor_set_agrees_with_path_walk(self):
+        # The prefix test must excuse exactly the holders the paper's
+        # name-level ancestry excuses.
         locks = ObjectLocks()
         locks.grant(self.t1, WRITE)
         locks.grant(self.t2, READ)
-        ancestors = frozenset((U, self.t1))
+        requester = ActionName(self.t1c)
         for mode in (READ, WRITE):
-            with_set = locks.conflicts_with(self.t1c, mode, ancestors)
-            without = locks.conflicts_with(self.t1c, mode)
-            assert sorted(with_set) == sorted(without)
+            by_name = [
+                holder
+                for holder, held in locks.holders.items()
+                if not (held == mode == READ)
+                and not ActionName(holder).is_ancestor_of(requester)
+            ]
+            assert sorted(locks.conflicts_with(self.t1c, mode)) == sorted(by_name)
 
     def test_sole_holder_self_is_no_conflict(self):
         locks = ObjectLocks()
@@ -53,7 +61,7 @@ class TestConflictsWithFastPaths:
         locks = ObjectLocks()
         locks.grant(self.t1, WRITE)
         first = locks.conflicts_with(self.t2, WRITE)
-        locks.grant(U.child(3), WRITE)
+        locks.grant((3,), WRITE)
         second = locks.conflicts_with(self.t2, WRITE)
         assert list(first) == [self.t1]
         assert len(second) == 2
@@ -200,22 +208,53 @@ class TestAncestryCaches:
         top = db.begin_transaction()
         child = top.begin_subtransaction()
         grand = child.begin_subtransaction()
-        assert top.ancestor_names == frozenset((U,))
-        assert child.ancestor_names == frozenset((U, top.name))
-        assert grand.ancestor_names == frozenset((U, top.name, child.name))
-        assert [t.name for t in grand.lineage] == [
-            grand.name,
-            child.name,
-            top.name,
-        ]
+        # Ancestry is no longer cached: the key is the path, every proper
+        # prefix of it is an ancestor's key, and the parent links walk the
+        # same line self-first.
+        assert top.key == top.name.path and top.parent is None
+        assert child.key == top.key + (0,)
+        assert grand.key == child.key + (0,)
+        assert {grand.key[:n] for n in range(len(grand.key))} == {
+            U.path, top.key, child.key
+        }
+        lineage, node = [], grand
+        while node is not None:
+            lineage.append(node.name)
+            node = node.parent
+        assert lineage == [grand.name, child.name, top.name]
 
     def test_caches_agree_with_name_ancestry(self):
         db = NestedTransactionDB({"a": 0})
         top = db.begin_transaction()
         child = top.begin_subtransaction()
-        for anc in child.name.proper_ancestors():
-            assert anc in child.ancestor_names
-        assert len(child.ancestor_names) == child.name.depth
+        assert [anc.path for anc in child.name.proper_ancestors()] == [
+            child.key[:n] for n in range(len(child.key))
+        ]
+        assert child.depth == child.name.depth == len(child.key)
+        assert top.is_ancestor_of(child) and top.is_ancestor_of(top)
+        assert not child.is_ancestor_of(top)
+
+
+    paths = st.lists(
+        st.one_of(st.integers(-2, 3), st.sampled_from(["a", "b", "0"])),
+        max_size=4,
+    ).map(tuple)
+
+    @given(paths, paths)
+    def test_tuple_prefix_is_the_papers_ancestry(self, a, b):
+        """The engine's one ancestry question — "is holder ``a`` the
+        requester ``b`` or an ancestor of it?" — asked of path tuples
+        agrees with ``ActionName`` on random paths: ``U`` (the empty
+        path), equal paths, mixed int/str atoms."""
+        name_a, name_b = ActionName(a), ActionName(b)
+        prefix = b[: len(a)] == a
+        assert prefix == name_a.is_ancestor_of(name_b)
+        assert (prefix and a != b) == name_a.is_proper_ancestor_of(name_b)
+        # ...and as the lock table asks it.
+        locks = ObjectLocks()
+        locks.grant(a, WRITE)
+        blocked = locks.conflicts_with(b, WRITE)
+        assert blocked == ([] if name_a.is_ancestor_of(name_b) else [a])
 
 
 class TestGlobalModeUnchanged:

@@ -8,18 +8,17 @@ from typing import List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.naming import U, ActionName
+from repro.core.naming import ActionName
 from repro.engine import READ, WRITE, ObjectLocks, VersionStack
+from repro.engine.storage import ROOT, Key
+
+# The engine keys lock holders and version owners by path tuple — the
+# ``path`` of the paper's action name; ``ROOT`` is ``U``'s.
 
 
-def chain_of(depth: int) -> List[ActionName]:
-    """U.child(0), U.child(0).child(0), ... — one ancestor line."""
-    chain = []
-    node = U
-    for _ in range(depth):
-        node = node.child(0)
-        chain.append(node)
-    return chain
+def chain_of(depth: int) -> List[Key]:
+    """(0,), (0, 0), ... — one ancestor line."""
+    return [(0,) * level for level in range(1, depth + 1)]
 
 
 class TestVersionStackProperties:
@@ -51,14 +50,14 @@ class TestVersionStackProperties:
                     stack.discard(node)
             # After resolution the stack is just the base entry.
             assert len(stack.entries) == 1
-            assert stack.owner == U
+            assert stack.owner == ROOT
             assert stack.current == expected_base
 
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
     def test_abort_always_restores(self, values):
         stack = VersionStack(7)
-        txn = U.child(1)
+        txn = (1,)
         stack.ensure_version(txn)
         for value in values:
             stack.set_value(txn, value)
@@ -77,7 +76,7 @@ class TestVersionStackProperties:
             stack.ensure_version(node)
         stack.set_value(chain[-1], 42)
         stack.commit_to_parent(chain[-1])
-        expected_owner = chain[-2] if depth >= 2 else U
+        expected_owner = chain[-2] if depth >= 2 else ROOT
         assert stack.owner == expected_owner
         assert stack.current == 42
 
@@ -105,20 +104,20 @@ class TestVersionStackRoundTrips:
         stack = VersionStack(0)
         # What was on top (visible) when each live owner pushed.
         saved = {}
-        chain = [U]  # live owner chain, bottom to top
+        chain = [ROOT]  # live owner chain, bottom to top
         for action, value in script:
             top = chain[-1]
             if action == "push":
-                node = top.child(len(chain))
+                node = top + (len(chain),)
                 saved[node] = stack.current
                 stack.ensure_version(node)
                 chain.append(node)
             elif action == "write":
-                if top == U:
+                if top == ROOT:
                     continue  # only transactions write through the engine
                 stack.set_value(top, value)
             elif action == "commit":
-                if top == U:
+                if top == ROOT:
                     continue
                 committed = stack.current
                 stack.commit_to_parent(top)
@@ -127,7 +126,7 @@ class TestVersionStackRoundTrips:
                 # The parent now sees the child's value...
                 assert stack.current == committed
             else:  # abort
-                if top == U:
+                if top == ROOT:
                     continue
                 stack.discard(top)
                 chain.pop()
@@ -139,7 +138,7 @@ class TestVersionStackRoundTrips:
             top = chain.pop()
             stack.discard(top)
             assert stack.current == saved.pop(top)
-        assert stack.owner == U
+        assert stack.owner == ROOT
 
     @given(
         st.lists(
@@ -156,30 +155,30 @@ class TestVersionStackRoundTrips:
         U-owned base — the structural invariant recovery's snapshot and
         the WAL's ``version_of`` read both lean on."""
         stack = VersionStack(5)
-        chain = [U]
+        chain = [ROOT]
         for action, value in script:
             top = chain[-1]
             if action == "push":
-                node = top.child(len(chain))
+                node = top + (len(chain),)
                 stack.ensure_version(node)
                 chain.append(node)
-            elif action == "write" and top != U:
+            elif action == "write" and top != ROOT:
                 stack.set_value(top, value)
-            elif action == "commit" and top != U:
+            elif action == "commit" and top != ROOT:
                 stack.commit_to_parent(top)
                 chain.pop()
-            elif action == "abort" and top != U:
+            elif action == "abort" and top != ROOT:
                 stack.discard(top)
                 chain.pop()
             owners = [owner for owner, _value in stack.entries]
-            assert owners[0] == U
+            assert owners[0] == ROOT
             assert len(set(owners)) == len(owners)
             for below, above in zip(owners, owners[1:]):
-                assert below.is_proper_ancestor_of(above)
+                assert ActionName(below).is_proper_ancestor_of(ActionName(above))
             # version_of agrees with the entries it indexes.
             for owner, value_ in stack.entries:
                 assert stack.version_of(owner) == (owner, value_)
-            assert stack.version_of(U.child("nope")) is None
+            assert stack.version_of(("nope",)) is None
 
 
 class TestObjectLocksProperties:
@@ -195,7 +194,7 @@ class TestObjectLocksProperties:
         locks = ObjectLocks()
         strongest = {}
         for txn_index, mode in grants:
-            txn = U.child(txn_index)
+            txn = (txn_index,)
             locks.grant(txn, mode)
             if strongest.get(txn) != WRITE:
                 strongest[txn] = (
@@ -209,7 +208,7 @@ class TestObjectLocksProperties:
     def test_conflict_symmetry_for_writes(self, i, j):
         """Between two distinct top-levels, write-write conflicts are
         symmetric."""
-        a, b = U.child(i), U.child(j)
+        a, b = (i,), (j,)
         locks_a = ObjectLocks()
         locks_a.grant(a, WRITE)
         locks_b = ObjectLocks()
@@ -232,7 +231,7 @@ class TestObjectLocksProperties:
             locks.inherit(node)
         assert locks.mode_of(chain[0]) == WRITE
         # A different top-level now conflicts.
-        assert locks.conflicts_with(U.child(9), WRITE) == [chain[0]]
+        assert locks.conflicts_with((9,), WRITE) == [chain[0]]
 
     @given(
         st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=15)
@@ -241,6 +240,6 @@ class TestObjectLocksProperties:
     def test_readers_never_block_each_other(self, ops):
         locks = ObjectLocks()
         for txn_index, _unused in ops:
-            locks.grant(U.child(txn_index), READ)
+            locks.grant((txn_index,), READ)
         for txn_index, _unused in ops:
-            assert locks.conflicts_with(U.child(txn_index + 10), READ) == []
+            assert locks.conflicts_with((txn_index + 10,), READ) == []
