@@ -6,20 +6,31 @@ lock table (:mod:`repro.engine.locks`), the version stacks
 (:mod:`repro.engine.deadlock`) and trace recording
 (:mod:`repro.engine.trace`).
 
-**One latch.**  A single mutex (with its condition variable) guards all
-shared state: the transaction registry and statuses, the lock table, the
-version stacks, the counters.  Lynch's level 4 is one algebra — one lock
+**One latch.**  A single plain mutex guards all shared state: the
+transaction registry and statuses, the lock table, the version stacks,
+the wait queues, the counters.  Lynch's level 4 is one algebra — one lock
 table, one set of ``perform`` / ``release-lock`` / ``lose-lock``
 preconditions — and the engine states each of them once:
 
 * :meth:`NestedTransactionDB._attempt_locked` — one non-blocking attempt
   at a data access (liveness, conflict check, waits-for edges and
   deadlock resolution on conflict; grant, apply and trace-seq reservation
-  otherwise).  The blocking API calls it in a park-on-the-condvar loop,
-  :meth:`~NestedTransactionDB.try_perform_batch` calls it in a for-loop;
+  otherwise), run by the blocking API and
+  :meth:`~NestedTransactionDB.try_perform_batch` alike;
 * :meth:`NestedTransactionDB._commit_locked` — commit to the parent
   (Moss lock inheritance), shared by ``commit()`` and ``commit_batch``;
 * :meth:`NestedTransactionDB._abort_subtree_locked` — abort a subtree.
+
+**One wait queue.**  A blocked ``perform`` on ``x`` can only become
+enabled by a ``release-lock`` or ``lose-lock`` on ``x``, and all of those
+run under the latch.  So a request the attempt cannot grant is parked
+once, on ``x``'s queue, with a one-shot *wake target* (``_park_locked``),
+and the steps that move a lock on ``x`` — lock inheritance, subtree
+abort, the lazy reap — wake exactly ``x``'s waiters in arrival order
+(``_wake_locked``); each re-runs the same attempt (wake-and-retry: a
+newcomer may still barge in first).  Nobody sleeps on the latch: the
+blocking API sleeps on a private gate *outside* it until ``lock_timeout``;
+the serve layer's wake target puts the op back on its submission queue.
 
 **Identity is the path.**  Lock holders, version owners, snapshot
 horizons and the registry are keyed by ``Transaction.key`` (a path tuple;
@@ -29,8 +40,9 @@ the WAL, exceptions and waits-for edges (conflict path only).  The
 registry holds *live* transactions only, so an engine at rest is empty.
 
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
-recorder, WAL, metrics).  Trace publication, event fan-out and the
-durable fsync all happen after the latch is released.  See DESIGN.md
+recorder, WAL, metrics, whatever a wake target takes).  Trace publication,
+event fan-out and the durable fsync all happen after the latch is
+released.  See DESIGN.md
 ("One latch") for the measurements that retired the striped alternative.
 
 Configuration axes (these drive the E1/E6 benchmarks):
@@ -61,7 +73,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from contextlib import contextmanager
 
@@ -145,8 +157,7 @@ def _commit_record(
 class NestedTransactionDB:
     """A thread-safe in-process database with resilient nested transactions.
 
-    Everything shared sits behind ``self._cond`` (the engine latch and
-    the condition variable blocked lock requests park on).  Under that one
+    Everything shared sits behind ``self._latch``.  Under that one
     latch every ancestor of an ACTIVE transaction is ACTIVE — a subtree
     abort flips the whole subtree in one critical section — so a granted
     lock can never belong to an orphan nobody will clean up.
@@ -160,7 +171,7 @@ class NestedTransactionDB:
         if config is None:
             config = EngineConfig()
         self.config = config
-        self._cond = threading.Condition(threading.Lock())
+        self._latch = threading.Lock()
         # Observability: a disabled registry and an empty bus cost one
         # attribute load per guard on the hot path.  Enable with
         # ``db.metrics.enable()`` / ``db.events.attach(sink)`` or inject
@@ -204,6 +215,10 @@ class NestedTransactionDB:
         self._h_inherit = self.metrics.histogram("engine_lock_inherit_seconds")
         self._waits = WaitsForGraph()
         self._waits.bind(self.metrics)
+        # Per-object wait queues: an object's blocked requests in arrival
+        # order, each with its one-shot wake target.  Only an object with
+        # a waiter has an entry: an uncontended release pays a falsy check.
+        self._waiters: Dict[str, List[Tuple[Transaction, Callable[[], None]]]] = {}
         # Live (ACTIVE) transactions only, by key: one leaves in the
         # critical section that commits or aborts it.  A lock holder not
         # in here is therefore dead (what lazy cleanup may reap).
@@ -259,7 +274,7 @@ class NestedTransactionDB:
         abort writers.  Writes, increments, and write-intent reads raise
         :class:`~repro.engine.errors.ReadOnlyViolation`.
         """
-        with self._cond:
+        with self._latch:
             key = (next(self._top_counter),)
             txn, seq = self._begin_locked(key, None, read_only)
         self._publish_begin(txn, seq)
@@ -338,7 +353,7 @@ class NestedTransactionDB:
 
     def snapshot(self) -> Dict[str, Any]:
         """Permanently committed values of all objects."""
-        with self._cond:
+        with self._latch:
             return self._snapshot_locked()
 
     def _snapshot_locked(self) -> Dict[str, Any]:
@@ -353,7 +368,7 @@ class NestedTransactionDB:
     def contention_profile(self, top: int = 10) -> List[Tuple[str, int]]:
         """The hottest objects by lock-wait count, descending — the first
         thing to look at when throughput sags."""
-        with self._cond:
+        with self._latch:
             ranked = sorted(
                 self._object_waits.items(), key=lambda kv: kv[1], reverse=True
             )
@@ -370,7 +385,7 @@ class NestedTransactionDB:
         a bug in lock inheritance or abort cleanup; tests call this after
         every stress run.
         """
-        with self._cond:
+        with self._latch:
             if self._txns:
                 raise AssertionError(
                     "active transactions remain: %r"
@@ -394,6 +409,10 @@ class NestedTransactionDB:
                         )
             if len(self._waits):
                 raise AssertionError("waits-for graph not empty")
+            if self._waiters:
+                raise AssertionError(
+                    "requests still parked on %r" % sorted(self._waiters)
+                )
 
     def assert_certified(self) -> None:
         """Raise when the streaming certifier has flagged any violation
@@ -423,7 +442,7 @@ class NestedTransactionDB:
 
     def read_committed(self, obj: str) -> Any:
         """The permanently committed value of one object."""
-        with self._cond:
+        with self._latch:
             if obj not in self._objects:
                 raise UnknownObject(obj)
             return self._objects[obj][1].entries[0][1]
@@ -431,7 +450,7 @@ class NestedTransactionDB:
     # -- lifecycle internals (called by Transaction) --------------------------------
 
     def _begin(self, parent: Transaction) -> Transaction:
-        with self._cond:
+        with self._latch:
             if parent.status == ABORTED:
                 # A concurrent deadlock-victim or subtree abort may kill the
                 # parent between a worker's operations; surface that as the
@@ -488,7 +507,7 @@ class NestedTransactionDB:
 
     def _commit(self, txn: Transaction) -> None:
         started = time.monotonic() if self.metrics.enabled else None
-        with self._cond:
+        with self._latch:
             outcome = self._commit_locked(txn)
         commit_seq, stamp, inherited, wal_lsn = outcome
         if commit_seq is not None:
@@ -503,8 +522,8 @@ class NestedTransactionDB:
     def _commit_locked(self, txn: Transaction) -> _CommitOutcome:
         """Commit ``txn`` to its parent (latch held): validate, append
         the WAL redo batch, then flip the status, inherit locks and
-        versions and wake blocked requesters.  Trace publication, the
-        fsync and events are the caller's job, after the latch drops.
+        versions and wake the requests parked on them.  Trace publication,
+        the fsync and events are the caller's job, after the latch drops.
 
         The WAL append is the one step that can fail for reasons outside
         the engine (a value the log cannot encode, a closed log), so it
@@ -552,7 +571,6 @@ class NestedTransactionDB:
         if not self._waits.idle():
             self._waits.remove_transaction(txn.name)
         self.stats.committed += 1
-        self._cond.notify_all()
         return commit_seq, stamp, inherited, wal_lsn
 
     def _emit_committed(self, txn: Transaction, inherited: Tuple[str, ...]) -> None:
@@ -624,7 +642,7 @@ class NestedTransactionDB:
         """
         durability = self.durability
         assert durability is not None and durability.wal is not None
-        with self._cond:
+        with self._latch:
             return durability.wal.last_lsn, self._snapshot_locked()
 
     def close(self) -> None:
@@ -642,7 +660,9 @@ class NestedTransactionDB:
         prune_below: Optional[int] = None,
     ) -> None:
         """Level-3/4 ``release-lock``, O(objects ``txn`` holds); an
-        object it only read has no version to merge."""
+        object it only read has no version to merge.  A top-level's locks
+        evaporate, a child's move to its parent (unblocking the parent's
+        other descendants): either way the objects' waiters are woken."""
         started = time.monotonic() if self.metrics.enabled else None
         parent = txn.parent
         key = txn.key
@@ -653,6 +673,8 @@ class NestedTransactionDB:
             mode = locks.discard(key) if parent is None else locks.inherit(key)
             if mode != READ:
                 stack.commit_to_parent(key, stamp, prune_below)
+        if self._waiters:
+            self._wake_locked(txn.held_objects)
         if parent is not None:
             parent.held_objects |= txn.held_objects
         txn.held_objects = set()
@@ -660,15 +682,18 @@ class NestedTransactionDB:
             self._h_inherit.observe(time.monotonic() - started)
 
     def _abort(self, txn: Transaction) -> None:
-        with self._cond:
+        with self._latch:
             self._abort_subtree_locked(txn, reason="explicit abort")
 
     def _abort_subtree_locked(self, txn: Transaction, reason: str) -> None:
         """Abort every active transaction in txn's subtree, deepest first,
-        releasing locks and popping versions (unless lazy cleanup), and
-        wake blocked requesters — all inside the caller's one critical
-        section, so no transaction is ever observed ACTIVE under an
-        ABORTED ancestor."""
+        releasing locks and popping versions (unless lazy cleanup) — all
+        inside the caller's one critical section, so no transaction is
+        ever observed ACTIVE under an ABORTED ancestor.  The requests
+        parked on its objects are woken at the point of release (a later
+        raise in the caller's section cannot lose the wake-up; under lazy
+        cleanup the woken request reaps the dead holder itself), and so
+        are the subtree's own parked requests, to learn they are dead."""
         if txn.status != ACTIVE:
             return  # idempotent; committed subtrees die via ancestor deadness
         for child in txn.children:
@@ -681,6 +706,9 @@ class NestedTransactionDB:
             self._snapshot_horizons.pop(key, None)
         if self.trace is not None:
             self.trace.record_abort(txn.name)
+        if self._waiters:
+            self._wake_locked(txn.held_objects)
+            self._withdraw_locked(txn)
         if not self.lazy_lock_cleanup:
             for obj in txn.held_objects:
                 locks, stack = self._objects[obj]
@@ -690,24 +718,58 @@ class NestedTransactionDB:
         if not self._waits.idle():
             self._waits.remove_transaction(txn.name)
         self.stats.aborted += 1
-        # Notify at the point of release, not at the end of the caller's
-        # section: a later raise in that section cannot lose the wake-up.
-        self._cond.notify_all()
         if self.events.enabled:
             self.events.emit(TxnAborted(txn.name, reason))
 
     def cancel_waits(self, txn: Transaction) -> None:
-        """Withdraw ``txn``'s waits-for edges after an external waiter
-        gives up on a blocked request (e.g. the serve layer timing out a
-        parked op).  The blocking path clears its own edges; batch
-        attempts leave edges behind on BLOCKED results so the deadlock
-        detector sees queued requesters — whoever abandons such a request
-        must clear them, or they linger as false cycle material until the
-        transaction finishes."""
-        self._waits.clear_waits(txn.name)
+        """Withdraw ``txn``'s blocked requests — wait-queue entries and
+        waits-for edges — as both APIs do at their ``lock_timeout``
+        deadline.  A BLOCKED attempt leaves its edges behind so the
+        deadlock detector sees the parked requester; whoever abandons the
+        request must withdraw them, or they linger as false cycle
+        material until the transaction finishes.  A withdrawn entry's
+        wake target fires, so its owner learns it is no longer parked."""
+        with self._latch:
+            if self._waiters:
+                self._withdraw_locked(txn)
+            self._waits.clear_waits(txn.name)
+
+    def _park_locked(
+        self, txn: Transaction, obj: str, wake: Callable[[], None]
+    ) -> None:
+        """Queue the request :meth:`_attempt_locked` just refused behind
+        ``obj``'s other waiters (latch held).  ``wake`` is called once,
+        under the latch (so it may take leaf locks only), by whatever
+        takes the entry out again: a lock on ``obj`` moving, ``txn``
+        aborting, ``cancel_waits``.  The owner then re-runs the attempt."""
+        self._waiters.setdefault(obj, []).append((txn, wake))
+
+    def _wake_locked(self, objs: Iterable[str]) -> None:
+        """Wake the requests parked on ``objs``, in arrival order (latch
+        held): a lock on each of them just moved, which is the only thing
+        that can enable a blocked ``perform``."""
+        waiters = self._waiters
+        for obj in objs:
+            for _txn, wake in waiters.pop(obj, ()):
+                wake()
+
+    def _withdraw_locked(self, txn: Transaction) -> None:
+        """Take ``txn``'s own parked requests out of the wait queues and
+        wake them (latch held): an aborted requester re-runs its attempt
+        to learn it is dead, a timed-out one is no longer waiting."""
+        for obj, queue in list(self._waiters.items()):
+            mine = [wake for waiter, wake in queue if waiter is txn]
+            if not mine:
+                continue
+            if len(mine) == len(queue):
+                del self._waiters[obj]
+            else:
+                self._waiters[obj] = [e for e in queue if e[0] is not txn]
+            for wake in mine:
+                wake()
 
     def _is_live(self, txn: Transaction) -> bool:
-        with self._cond:
+        with self._latch:
             return self._live_status_locked(txn)
 
     def _live_status_locked(self, txn: Transaction) -> bool:
@@ -740,9 +802,10 @@ class NestedTransactionDB:
 
     def _perform(self, txn: Transaction, kind: str, obj: str, arg: Any = None) -> Any:
         """The blocking data-access API (``Transaction.read`` / ``write``
-        / ``read_for_update`` / ``increment``): attempt under the latch,
-        park on its condition variable while the request conflicts, and
-        publish the trace record after the latch drops."""
+        / ``read_for_update`` / ``increment``): attempt under the latch;
+        while the request conflicts, park it and sleep *outside* the
+        latch on a private gate its wake target opens; publish the trace
+        record after the latch drops."""
         if kind == "increment" and self.single_mode and not txn.read_only:
             # Single mode — where every access conflicts anyway — has no
             # increment lock: degenerate to read-modify-write under the
@@ -750,30 +813,38 @@ class NestedTransactionDB:
             value = self._perform(txn, "read_for_update", obj) + arg
             self._perform(txn, "write", obj, value)
             return None
-        # The deadline clock starts lazily at the first block, so the
-        # granted-first-try path never reads the clock.
+        # The gate and the deadline clock are made at the first block: the
+        # granted-first-try path allocates nothing and reads no clock.
+        gate: Optional[Any] = None
         deadline: Optional[float] = None
-        with self._cond:
-            while True:
+        while True:
+            with self._latch:
                 granted = self._attempt_locked(txn, kind, obj, arg)
-                if granted is not None:
-                    break
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self.lock_timeout
-                remaining = deadline - now
-                woke = remaining > 0 and self._cond.wait(timeout=remaining)
-                if self.metrics.enabled or self.events.enabled:
-                    waited = time.monotonic() - now
-                    if self.metrics.enabled:
-                        self._h_lock_wait.observe(waited)
-                    if self.events.enabled:
-                        self.events.emit(
-                            LockWaited(txn.name, obj, self._modes[kind], waited)
-                        )
-                if not woke:
-                    self._waits.clear_waits(txn.name)
-                    raise LockTimeout(txn.name, obj)
+                if granted is None:
+                    if gate is None:
+                        gate = threading.Lock()
+                        gate.acquire()
+                    # Parked <=> the gate is shut: whoever takes the entry
+                    # out opens it, once.
+                    self._park_locked(txn, obj, gate.release)
+            if granted is not None:
+                break
+            now = time.monotonic()
+            if deadline is None:
+                deadline = now + self.lock_timeout
+            remaining = deadline - now
+            woke = remaining > 0 and gate.acquire(timeout=remaining)
+            if self.metrics.enabled or self.events.enabled:
+                waited = time.monotonic() - now
+                if self.metrics.enabled:
+                    self._h_lock_wait.observe(waited)
+                if self.events.enabled:
+                    self.events.emit(
+                        LockWaited(txn.name, obj, self._modes[kind], waited)
+                    )
+            if not woke:
+                self.cancel_waits(txn)
+                raise LockTimeout(txn.name, obj)
         seen, seq = granted
         if seq is not None:
             # Off the critical path: record construction and publication
@@ -794,13 +865,14 @@ class NestedTransactionDB:
         publishes off-latch.
 
         Conflicting: the waits-for edges are registered (they stay behind
-        so the deadlock detector sees the requester however it waits —
-        parked on the condvar or queued in the serve layer), a cycle
+        so the deadlock detector sees the requester while it is parked,
+        whichever API parked it), a cycle
         sweep runs when the edge set changed (the closing edge of any
         cycle triggers the sweep from its waiter, so unchanged retries
         have nothing new to find), a victim other than the requester's
         own lineage is aborted and the attempt repeats at once; otherwise
-        returns ``None`` and nothing happened.
+        returns ``None`` and nothing happened — the caller parks the
+        request (:meth:`_park_locked`) before it leaves the latch.
 
         Raises for terminal failures: aborted or orphaned transaction
         (:class:`DeadlockAbort` when this very sweep chose the requester
@@ -919,6 +991,10 @@ class NestedTransactionDB:
                 self.events.emit(
                     OrphanReaped(ActionName.make(holder), "lazy lock reap")
                 )
+        if self._waiters and len(survivors) != len(conflicts):
+            # A parked request has a live blocker besides; this keeps
+            # "every lock move wakes" unconditional.
+            self._wake_locked((obj,))
         return survivors
 
     # -- batched submission (the serve front-end's entry points) -----------------
@@ -927,9 +1003,9 @@ class NestedTransactionDB:
     # engine latch: one latch crossing begins / performs / commits a
     # whole batch of compatible operations, amortizing the synchronization
     # cost that caps per-core throughput under thread-per-session load.
-    # Ops that would block never stall a batch — they come back BLOCKED
-    # and the caller retries them (the same attempt, later) or falls back
-    # to the blocking path.  See src/repro/serve/batch.py for the
+    # Ops that would block never stall a batch — they come back BLOCKED,
+    # parked on the engine's wait queue when they carry a wake target
+    # (the caller re-submits the same attempt when it fires).  See src/repro/serve/batch.py for the
     # submission queue in front of these entry points and the measurement
     # spine's ``served_durable`` workload and ``serve`` ledger line
     # (benchmarks/spine/README.md) for the numbers.
@@ -943,7 +1019,7 @@ class NestedTransactionDB:
         if count <= 0:
             return []
         pairs: List[Tuple[Transaction, Optional[int]]] = []
-        with self._cond:
+        with self._latch:
             for _ in range(count):
                 key = (next(self._top_counter),)
                 pairs.append(self._begin_locked(key, None, read_only))
@@ -957,36 +1033,39 @@ class NestedTransactionDB:
         return [txn for txn, _seq in pairs]
 
     def try_perform_batch(
-        self, ops: List[Tuple[Transaction, str, str, Any]]
+        self, ops: List[Tuple[Any, ...]]
     ) -> List[Tuple[str, Any]]:
         """Attempt a batch of data operations non-blocking, crossing the
         latch once for the whole batch.
 
-        ``ops`` is a sequence of ``(txn, kind, obj, arg)`` with ``kind``
-        one of ``"read"``, ``"read_for_update"``, ``"write"``,
-        ``"increment"``.  Returns one ``(status, payload)`` per op, in
-        order:
+        ``ops`` is a sequence of ``(txn, kind, obj, arg)`` or
+        ``(txn, kind, obj, arg, wake)`` with ``kind`` one of ``"read"``,
+        ``"read_for_update"``, ``"write"``, ``"increment"``.  Returns one
+        ``(status, payload)`` per op, in order:
 
         * ``("done", value)`` — performed; trace record published with a
           seq reserved under the latch (same linearization as the
           blocking path);
         * ``("blocked", None)`` — the lock request conflicts (or is a
           single-mode increment, which expands to two dependent lock
-          requests); nothing happened — retry after a lock-releasing
-          event (any commit/abort), or on the blocking path.  Conflicting
-          requesters leave their waits-for edges registered so queued
-          retries stay visible to the deadlock detector;
+          requests the caller must issue); nothing happened.  The
+          requester's waits-for edges stay registered, so the deadlock
+          detector sees it, and an op carrying a ``wake`` callable is
+          parked (:meth:`_park_locked`): re-submit it when ``wake()``
+          fires.  Without one the retry is the caller's business, and so
+          is :meth:`cancel_waits` when it gives up;
         * ``("error", exc)`` — the op failed terminally (aborted txn,
           unknown object, read-only violation); the exception is returned,
           not raised, so one dead session never poisons a batch.
         """
-        for _txn, kind, _obj, _arg in ops:
-            if kind not in self._modes:
-                raise ValueError("unknown batch op kind %r" % (kind,))
+        for op in ops:
+            if op[1] not in self._modes:
+                raise ValueError("unknown batch op kind %r" % (op[1],))
         results: List[Tuple[str, Any]] = []
         publish: List[Tuple[Transaction, str, str, Any, Any, int]] = []
-        with self._cond:
-            for txn, kind, obj, arg in ops:
+        with self._latch:
+            for op in ops:
+                txn, kind, obj, arg = op[:4]
                 if kind == "increment" and self.single_mode and not txn.read_only:
                     # Two dependent lock requests; the fallback runs both.
                     results.append((BATCH_BLOCKED, None))
@@ -1001,6 +1080,8 @@ class NestedTransactionDB:
                     results.append((BATCH_ERROR, error))
                     continue
                 if granted is None:
+                    if len(op) > 4 and op[4] is not None:
+                        self._park_locked(txn, obj, op[4])
                     results.append((BATCH_BLOCKED, None))
                     continue
                 seen, seq = granted
@@ -1030,7 +1111,7 @@ class NestedTransactionDB:
         started = time.monotonic() if self.metrics.enabled else None
         results: List[Tuple[str, Any]] = []
         done: List[Tuple[Transaction, _CommitOutcome]] = []
-        with self._cond:
+        with self._latch:
             for txn in txns:
                 try:
                     outcome = self._commit_locked(txn)

@@ -8,12 +8,16 @@ Victim policies: the *requester* (simple, always makes progress), the
 ancestors), or the first non-ancestor *blocker* on the chain (the
 default — releases exactly what the requester needs).
 
+Edges say *who* blocks a parked request; the engine's per-object wait
+queues (``NestedTransactionDB._waiters``) say who to wake when a lock
+moves.  Both are filled by the same blocked attempt and emptied together
+(grant, abort, ``cancel_waits``).
+
 The graph carries its own small mutex — a leaf below the engine latch.
-The engine registers and sweeps edges under that latch; the mutex exists
-for the callers that do not hold it (``cancel_waits`` from the serve
-layer, the edge-count gauge) and keeps
-:meth:`WaitsForGraph.find_cycle_from` a traversal of one consistent
-snapshot.
+The engine registers, withdraws and sweeps edges under that latch; the
+mutex exists for the one caller that does not hold it (the edge-count
+gauge) and keeps :meth:`WaitsForGraph.find_cycle_from` a traversal of one
+consistent snapshot.
 """
 
 from __future__ import annotations
@@ -67,9 +71,7 @@ class WaitsForGraph:
         edge set actually changed.  Callers may skip cycle detection on
         an unchanged registration: a cycle is detected at the moment its
         closing edge is added, by the waiter adding it — re-sweeping for
-        waiters whose edges did not move finds nothing new, and retried
-        batch attempts (see serve/batch.py) would otherwise pay a full
-        graph traversal per retry."""
+        a woken waiter whose edges did not move finds nothing new."""
         blockers = set(blockers)
         with self._lock:
             old = self._edges.get(waiter)
@@ -108,9 +110,8 @@ class WaitsForGraph:
     def has_waits(self, waiter: ActionName) -> bool:
         """Advisory, lock-free: does ``waiter`` currently have edges?
         A GIL-atomic dict probe — grant paths use it to skip the leaf
-        lock when there is nothing to clear (edges can be registered by
-        a batched attempt that never reached the blocking wait, see
-        ``NestedTransactionDB.try_perform_batch``)."""
+        lock when there is nothing to clear (edges are registered by a
+        blocked attempt and stay while the request is parked)."""
         return waiter in self._edges
 
     def idle(self) -> bool:

@@ -17,30 +17,31 @@ queue, and whichever free worker wakes first leads the batch it drained:
   (:meth:`~NestedTransactionDB.commit_batch`) — commit acks coalesce
   into group-commit syncs two layers above the WAL that invented them.
 
-No worker thread EVER sleeps on an engine condvar.  An operation the
-engine reports BLOCKED is *parked* inside the submitter and re-submitted
-through the same non-blocking batch path when locks may have been
-released.  In Moss locking, locks are held to commit/abort, so a lock
-release coincides exactly with a commit or abort flowing through this
-queue: every chunk that retires commits or aborts wakes the parked ops
-whose objects those transactions held (a targeted wake-up the engine's
-own condvar does not offer), and a per-item backoff tick covers releases
-the queue cannot see — deadlock-victim aborts inside a batch attempt,
-commits performed outside the submitter.  Parked
-ops keep their waits-for edges registered (the engine's batch attempt
-does this), so deadlock detection sees parked requesters and victim
-selection works exactly as on the blocking path; ops parked longer than
-the engine's ``lock_timeout`` fail with :class:`LockTimeout`, mirroring
-the blocking wait's deadline.
+No worker thread EVER sleeps on an engine primitive, and the submitter
+keeps no wait queue of its own.  Every op goes to the engine with a
+*wake target* — "put this item back at the front of the submission
+queue" — so an op the engine reports BLOCKED is already parked on the
+engine's per-object wait queue, where it costs nothing until a lock on
+its object moves.  Whatever moves it (a commit or abort through this
+queue or through the blocking API, a deadlock victim dying inside
+somebody's attempt) fires the wake target under the engine latch, and a
+worker re-submits the op through the same non-blocking batch path.
+Parked ops keep their waits-for edges, so deadlock detection and victim
+choice work exactly as on the blocking path.  What is left here is the
+clock: blocked ops sit in a deadline queue (every deadline is ``now +
+lock_timeout``, so arrival order is deadline order); one still blocked
+at its deadline is withdrawn (``cancel_waits``), attempted once more
+without a wake target and failed with :class:`LockTimeout`, mirroring the
+blocking wait's deadline.
 
 Because workers never block, commits always have a worker to run on —
-the parked set can never deadlock against its own batch, no matter how
+blocked ops can never deadlock against their own batch, no matter how
 many thousands of sessions are in flight over how few threads.
 
 Compound operations — ``rmw``, and ``increment`` against a single-mode
 engine (where increments degenerate to read-modify-write) — are expanded
 by the submitter into a chained pair of batch ops (``read_for_update``
-then ``write``); the second half re-enters the queue at the front and
+then ``write``); the second half re-enters at the front of the queue and
 cannot block (the first half already holds the write lock).
 
 Backends without the batch entry points (e.g. the cluster coordinator's
@@ -51,13 +52,12 @@ threads.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, List, Optional
 
 from ..engine.errors import LockTimeout
 from ..obs import MetricsRegistry
@@ -76,17 +76,6 @@ OP_KINDS = ("read", "read_for_update", "write", "increment", "rmw")
 # practical ceiling.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-#: Parked-op retry backoff: first retry after _PARK_MIN s, doubling to
-#: _PARK_MAX s.  The backoff tick is a slow catch-all — the primary wake
-#: signals are the targeted flush when a commit/abort releases the
-#: parked op's object and the full flush when a chunk surfaces an abort
-#: (a deadlock victim released locks the queue never saw) — so it only
-#: needs to cover commits performed entirely outside the submitter.
-#: Polling faster buys nothing: a blocked op cannot grant until its
-#: holder commits, and that commit flows through this very queue.
-_PARK_MIN = 0.01
-_PARK_MAX = 0.1
-
 # Chained-op stages for compound operations (see module docstring).
 _STAGE_RMW_READ = "rmw_read"
 _STAGE_RMW_WRITE = "rmw_write"
@@ -102,11 +91,8 @@ class _Item:
         "read_only",
         "future",
         "deadline",
-        "retry_at",
-        "backoff",
         "stage",
         "rmw_delta",
-        "parked",
     )
 
     def __init__(
@@ -125,12 +111,10 @@ class _Item:
         self.arg = arg
         self.read_only = read_only
         self.future: Future = Future()
+        # Set when the op first blocks: ``that moment + lock_timeout``.
         self.deadline: Optional[float] = None
-        self.retry_at = 0.0
-        self.backoff = 0.0
         self.stage: Optional[str] = None
         self.rmw_delta: Any = None
-        self.parked = False
 
 
 class BatchSubmitter:
@@ -164,19 +148,14 @@ class BatchSubmitter:
         if registry is None:
             registry = MetricsRegistry(enabled=False)
         self.metrics = registry
+        # Two FIFO lanes: new submissions, and in front of them woken ops
+        # (their blocker just released) and second halves of compound ops
+        # (they hold a lock other sessions queue for).
         self._queue: deque = deque()
-        # The parked set is indexed two ways so neither wake path ever
-        # scans it whole (a linear scan per chunk is quadratic in session
-        # count once tens of thousands of ops are parked at once):
-        # * by object — the targeted flush on commit/abort touches only
-        #   the released objects' buckets;
-        # * a retry_at min-heap — the backoff tick pops exactly the ripe
-        #   entries.  Flushed items stay in the heap as stale entries
-        #   (item.parked False) and are discarded lazily on pop.
-        self._parked_by_obj: Dict[Any, List[_Item]] = {}
-        self._park_heap: List[Any] = []
-        self._park_seq = itertools.count()
-        self._n_parked = 0
+        self._front: deque = deque()
+        # Ops that have blocked, oldest deadline first: in at the first
+        # block, out at the deadline or — resolved — on reaching the head.
+        self._deadlines: deque = deque()
         self._mutex = threading.Lock()
         self._wakeup = threading.Condition(self._mutex)
         self._closed = False
@@ -184,10 +163,10 @@ class BatchSubmitter:
         # count histograms (the shape of the amortization); parked counts
         # the ops that had to wait out a lock conflict.
         registry.gauge(
-            "serve_queue_depth", callback=lambda: float(len(self._queue))
+            "serve_queue_depth", callback=lambda: float(self.queue_depth)
         )
         registry.gauge(
-            "serve_parked_depth", callback=lambda: float(self._n_parked)
+            "serve_parked_depth", callback=lambda: float(len(self._deadlines))
         )
         self._h_batch = registry.histogram(
             "serve_batch_size", buckets=BATCH_SIZE_BUCKETS
@@ -248,23 +227,28 @@ class BatchSubmitter:
             with self._wakeup:
                 while True:
                     now = time.monotonic()
-                    self._requeue_ripe_locked(now)
-                    if self._queue:
+                    due = self._due_locked(now)
+                    if due or self._front or self._queue:
                         break
-                    if self._closed and not self._n_parked:
+                    if self._closed and not self._deadlines:
                         return
-                    if self._park_heap:
-                        # heap[0] may be a stale (already flushed) entry;
-                        # waking early for one is harmless, the ripe scan
-                        # discards it.
-                        next_at = self._park_heap[0][0]
-                        self._wakeup.wait(timeout=max(0.0005, next_at - now))
-                    else:
-                        self._wakeup.wait()
-                chunk = [
-                    self._queue.popleft()
-                    for _ in range(min(len(self._queue), self.max_batch))
-                ]
+                    self._wakeup.wait(
+                        timeout=self._deadlines[0].deadline - now
+                        if self._deadlines
+                        else None
+                    )
+                chunk: List[_Item] = []
+                for lane in (self._front, self._queue):
+                    while lane and len(chunk) < self.max_batch:
+                        chunk.append(lane.popleft())
+            # Outside the mutex: wake targets take it under the engine
+            # latch, so the latch must never be asked for under it.  The
+            # withdrawal fires the op's wake target if it is still
+            # parked, which brings it back for its last attempt.
+            for item in due:
+                self.db.cancel_waits(item.txn)
+            if not chunk:
+                continue
             try:
                 self._run_chunk(chunk)
             except BaseException as error:  # noqa: BLE001 - future-contained
@@ -272,108 +256,48 @@ class BatchSubmitter:
                     if not item.future.done():
                         item.future.set_exception(error)
 
-    def _requeue_ripe_locked(self, now: float) -> None:
-        """Move parked items whose backoff expired to the queue BACK.
-        A tick retry is speculative — the op was blocked last time and
-        usually still is — so it must not cut ahead of progressable work.
-        Retries jumping the queue starve the very commits that would
-        unblock them: with an n-deep queue of sessions, front-inserted
-        retries monopolize the workers while every commit waits at the
-        back, and nothing ever grants (observed as minutes of zero
-        throughput at 20k sessions).  Caller holds the mutex."""
-        heap = self._park_heap
-        while heap and heap[0][0] <= now:
-            _, _, item = heapq.heappop(heap)
-            if not item.parked:
-                continue  # flushed earlier; stale heap entry
-            self._unpark_locked(item)
-            self._queue.append(item)
+    def _due_locked(self, now: float) -> List[_Item]:
+        """Pop the unresolved ops whose deadline has passed, and the
+        resolved ones in front of them (mutex held)."""
+        due: List[_Item] = []
+        deadlines = self._deadlines
+        while deadlines:
+            item = deadlines[0]
+            if not item.future.done():
+                if item.deadline > now:
+                    break
+                due.append(item)
+            deadlines.popleft()
+        return due
 
-    def _flush_parked_for(self, released: set) -> None:
-        """Retry parked ops whose object a retiring commit/abort just
-        unlocked.  Waking only the affected objects matters: flushing the
-        whole parked set per commit chunk costs O(parked × commits) spare
-        engine attempts, which is quadratic in session count and is
-        exactly the storm that melts 10k-session runs.  Releases this
-        chunk cannot see (deadlock-victim aborts inside a batch attempt,
-        commits outside the submitter) are covered by the backoff tick."""
-        if not self._n_parked or not released:
-            return
+    def _wake(self, item: _Item) -> None:
+        """The wake target of ``item``'s engine request: called under the
+        engine latch by whatever took the request off the wait queue."""
         with self._wakeup:
-            wake: List[_Item] = []
-            for obj in released:
-                bucket = self._parked_by_obj.pop(obj, None)
-                if bucket:
-                    wake.extend(bucket)
-            if not wake:
-                return
-            for item in wake:
-                item.parked = False
-            self._n_parked -= len(wake)
-            # Front of the queue: unlike tick retries, these are very
-            # likely grantable right now — their blocker just released.
-            self._queue.extendleft(reversed(wake))
-            self._wakeup.notify_all()
-
-    def _flush_all_parked(self) -> None:
-        """Retry every parked op: a chunk surfaced an aborted transaction,
-        meaning a deadlock victim (or orphan) released locks inside an
-        engine batch attempt — a release with no commit/abort item in the
-        queue, so no targeted flush can name its objects.  Rare enough
-        that the blanket retry (to the queue BACK — speculative work must
-        not starve commits) costs nothing."""
-        with self._wakeup:
-            if not self._n_parked:
-                return
-            for bucket in self._parked_by_obj.values():
-                for item in bucket:
-                    item.parked = False
-                    self._queue.append(item)
-            self._parked_by_obj.clear()
-            self._n_parked = 0
-            self._wakeup.notify_all()
-
-    def _park(self, item: _Item) -> None:
-        """Hold a BLOCKED op for retry; fail it once it has been blocked
-        longer than the engine's lock timeout (the blocking path's
-        deadline, minus the condvar)."""
-        now = time.monotonic()
-        if item.deadline is None:
-            item.deadline = now + self._lock_timeout
-            self._c_parked.inc()
-        elif now >= item.deadline:
-            if hasattr(self.db, "cancel_waits"):
-                self.db.cancel_waits(item.txn)
-            item.future.set_exception(
-                LockTimeout(item.txn.name, item.obj)
-            )
-            return
-        item.backoff = (
-            min(item.backoff * 2, _PARK_MAX) if item.backoff else _PARK_MIN
-        )
-        item.retry_at = now + item.backoff
-        with self._wakeup:
-            item.parked = True
-            self._parked_by_obj.setdefault(item.obj, []).append(item)
-            heapq.heappush(
-                self._park_heap, (item.retry_at, next(self._park_seq), item)
-            )
-            self._n_parked += 1
+            self._front.append(item)
             self._wakeup.notify()
 
-    def _unpark_locked(self, item: _Item) -> None:
-        """Remove one item from the parked index (mutex held; the item's
-        heap entry is left to lazy discard)."""
-        item.parked = False
-        self._n_parked -= 1
-        bucket = self._parked_by_obj.get(item.obj)
-        if bucket is not None:
-            try:
-                bucket.remove(item)
-            except ValueError:
-                pass
-            if not bucket:
-                del self._parked_by_obj[item.obj]
+    def _blocked(self, item: _Item, parked: bool) -> None:
+        """Account for a BLOCKED op.  One sent with its wake target is
+        ``parked`` in the engine (and may already be woken and in another
+        worker's hands: only the first-block bookkeeping touches it, under
+        the mutex); one sent without was past its deadline and fails."""
+        if not parked:
+            self.db.cancel_waits(item.txn)
+            item.future.set_exception(LockTimeout(item.txn.name, item.obj))
+            return
+        now = time.monotonic()
+        with self._wakeup:
+            first = item.deadline is None
+            if first:
+                item.deadline = now + self._lock_timeout
+                self._deadlines.append(item)
+            expired = item.deadline <= now
+        if first:
+            self._c_parked.inc()
+        elif expired:
+            # It blocked again after the deadline queue let go of it.
+            self.db.cancel_waits(item.txn)
 
     def _run_chunk(self, chunk: List[_Item]) -> None:
         self._c_batches.inc()
@@ -383,14 +307,6 @@ class BatchSubmitter:
         aborts = [item for item in chunk if item.kind == ABORT]
         if begins:
             self._run_begins(begins)
-        # Snapshot the lock footprint of retiring transactions before the
-        # commit/abort clears it: these are the objects whose parked
-        # waiters become grantable.
-        released: set = set()
-        for item in commits:
-            released.update(getattr(item.txn, "held_objects", ()) or ())
-        for item in aborts:
-            released.update(getattr(item.txn, "held_objects", ()) or ())
         if ops:
             self._c_ops.inc(len(ops))
             self._h_batch.observe(len(ops))
@@ -409,8 +325,6 @@ class BatchSubmitter:
                     self._complete(item, lambda it: it.txn.commit(), item)
         for item in aborts:
             self._complete(item, lambda it: it.txn.abort(), item)
-        if commits or aborts:
-            self._flush_parked_for(released)
 
     def _run_begins(self, begins: List[_Item]) -> None:
         if hasattr(self.db, "begin_transaction_batch"):
@@ -437,27 +351,30 @@ class BatchSubmitter:
             return self.db.begin_transaction(read_only=item.read_only)
         return self.db.begin()  # cluster coordinator surface
 
-    def _engine_op(self, item: _Item) -> Any:
-        """The (txn, kind, obj, arg) tuple this item submits to the
-        engine, expanding compound ops into their current stage."""
+    def _engine_op(self, item: _Item, now: float) -> Any:
+        """The (txn, kind, obj, arg, wake) tuple this item submits to
+        the engine, expanding compound ops into their current stage.  An
+        op past its deadline goes without a wake target: blocked again,
+        it is not parked but failed."""
+        expired = item.deadline is not None and item.deadline <= now
+        wake = None if expired else partial(self._wake, item)
         if item.stage == _STAGE_RMW_WRITE:
-            return (item.txn, "write", item.obj, item.arg)
+            return (item.txn, "write", item.obj, item.arg, wake)
         if item.op_kind == "rmw" or (
             item.op_kind == "increment" and self._single_mode
         ):
             if item.stage is None:
                 item.stage = _STAGE_RMW_READ
                 item.rmw_delta = item.arg
-            return (item.txn, "read_for_update", item.obj, None)
-        return (item.txn, item.op_kind, item.obj, item.arg)
+            return (item.txn, "read_for_update", item.obj, None, wake)
+        return (item.txn, item.op_kind, item.obj, item.arg, wake)
 
     def _run_ops_batched(self, ops: List[_Item]) -> None:
-        results = self.db.try_perform_batch(
-            [self._engine_op(item) for item in ops]
-        )
+        now = time.monotonic()
+        requests = [self._engine_op(item, now) for item in ops]
+        results = self.db.try_perform_batch(requests)
         chained: List[_Item] = []
-        any_error = False
-        for item, (status, payload) in zip(ops, results):
+        for item, request, (status, payload) in zip(ops, requests, results):
             if status == "done":
                 if item.stage == _STAGE_RMW_READ:
                     # First half of a compound op: we now hold the write
@@ -473,16 +390,13 @@ class BatchSubmitter:
                 else:
                     item.future.set_result(payload)
             elif status == "error":
-                any_error = True
                 item.future.set_exception(payload)
             else:
-                self._park(item)
+                self._blocked(item, parked=request[4] is not None)
         if chained:
             with self._wakeup:
-                self._queue.extendleft(reversed(chained))
+                self._front.extend(chained)
                 self._wakeup.notify()
-        if any_error:
-            self._flush_all_parked()
 
     def _run_commits_batched(self, commits: List[_Item]) -> None:
         results = self.db.commit_batch([item.txn for item in commits])
@@ -528,15 +442,15 @@ class BatchSubmitter:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return len(self._front) + len(self._queue)
 
     @property
     def parked_depth(self) -> int:
-        return self._n_parked
+        return len(self._deadlines)
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting work, drain the queue (parked ops retry until
-        they resolve or time out), and join the pool.  Already-queued
+        """Stop accepting work, drain the queue (blocked ops stay parked
+        until they resolve or time out), and join the pool.  Already-queued
         items complete; new submissions raise."""
         with self._wakeup:
             if self._closed:

@@ -39,6 +39,7 @@ from repro.engine import (
     TransactionAborted,
 )
 from repro.engine import database as database_module
+from repro.serve import batch as serve_batch_module
 
 OBJECTS = ("a", "b", "c")
 KINDS = ("read", "read_for_update", "write", "increment")
@@ -272,14 +273,24 @@ def test_deadlock_resolution_is_the_same_on_both_paths(policy, victim_is_request
 
 def test_each_concept_is_stated_once():
     """The fold, pinned: one place grants a lock, one merges versions
-    into the parent, one flips a transaction to ABORTED."""
+    into the parent, one flips a transaction to ABORTED, one parks a
+    blocked request and one helper wakes an object's waiters — on a
+    private primitive, never the latch, and with no second wait queue
+    (retry heap, tick counter) in the serve layer."""
     source = inspect.getsource(database_module)
     assert source.count("locks.grant(") == 1
     assert source.count(".commit_to_parent(") == 1
     assert source.count(".status = ABORTED") == 1
     assert source.count(".status = COMMITTED") == 1
+    assert source.count("self._waiters.setdefault(") == 1
+    assert source.count("waiters.pop(") == 1
+    assert "notify_all" not in source
+    assert "threading.Condition" not in source
     for legacy in ("_read", "_write", "_increment", "_acquire_locked"):
         assert not hasattr(NestedTransactionDB, legacy)
+    serve_source = inspect.getsource(serve_batch_module)
+    assert "import heapq" not in serve_source
+    assert "import itertools" not in serve_source
 
 
 # ---------------------------------------------------------------------------

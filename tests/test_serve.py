@@ -2,8 +2,8 @@
 
 Covers the reactor-vs-CPU-pool contract end to end — async sessions
 multiplexed over a small worker pool, batched begins/ops/commits,
-compound-op expansion, the park/retry path for blocked
-ops (targeted wake on commit, LockTimeout on expiry), error containment
+compound-op expansion, blocked ops parked on the engine's wait queue
+(woken by the release, LockTimeout at the deadline), error containment
 in futures, and graceful degradation for backends without the batch
 entry points.
 """
@@ -335,6 +335,42 @@ def test_parked_op_times_out_with_lock_timeout():
         sub.submit_commit(holder).result(timeout=5)
     finally:
         sub.close(timeout=5)
+
+
+def test_parked_op_costs_nothing_until_its_lock_moves():
+    """No retry tick: a blocked op is attempted once, then sits on the
+    engine's wait queue until the release itself wakes it — here a commit
+    through the *blocking* API, which never passes through the submitter."""
+    registry = MetricsRegistry(enabled=True)
+    db = make_db()
+    sub = BatchSubmitter(db, workers=2, metrics=registry)
+
+    def batches():
+        return registry.snapshot()["counters"]["serve_batches_total"]
+
+    try:
+        holder = db.begin_transaction()
+        holder.write("x", 7)
+        waiter = sub.submit_begin().result(timeout=5)
+        blocked = sub.submit_op(waiter, "read", "x")
+        deadline = time.monotonic() + 5
+        while not sub.parked_depth:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        batches_when_parked = batches()
+        time.sleep(0.3)
+        assert not blocked.done()
+        assert db.stats.lock_waits == 1
+        assert batches() == batches_when_parked
+        holder.commit()
+        assert blocked.result(timeout=5) == 7
+        assert db.stats.lock_waits == 1
+        assert batches() == batches_when_parked + 1
+        sub.submit_commit(waiter).result(timeout=5)
+    finally:
+        sub.close(timeout=5)
+    assert registry.snapshot()["counters"]["serve_parked_total"] == 1
+    db.assert_quiescent()
 
 
 def test_deadlock_between_submitted_sessions_names_a_victim():
