@@ -20,6 +20,12 @@ Two independent certifications:
   increment-increment pairs likewise — their ``add`` updates commute, and
   being blind they also carry no label for (1) to check).
 
+Trace records carry path tuples; this module is where they enter
+:mod:`repro.core`, so it renders each path as the paper's
+:class:`~repro.core.naming.ActionName` (``_name``) exactly there — the
+universe's accesses, the level-2 events, the action tree, the failure
+messages — and works on the paths themselves in between.
+
 Snapshot (read-only) transactions never acquire locks, so their records
 are *not* a locked execution and are partitioned out before either check
 (:func:`partition_snapshot_trace`).  They are certified separately by
@@ -47,7 +53,12 @@ from ..core.universe import (
     read as read_update,
     write as write_update,
 )
-from ..engine.trace import ABORT, COMMIT, CREATE, PERFORM, TraceRecord
+from ..engine.trace import ABORT, COMMIT, CREATE, PERFORM, Path, TraceRecord
+
+
+def _name(path: Optional[Path]) -> Optional[ActionName]:
+    """Render a record's path as the paper's (interned) name."""
+    return None if path is None else ActionName.make(path)
 
 
 class OracleViolation(AssertionError):
@@ -70,7 +81,7 @@ def trace_to_universe(
                 update = add_update(record.arg)
             else:
                 update = write_update(record.arg)
-            universe.declare_access(record.access, record.obj, update)
+            universe.declare_access(_name(record.access), record.obj, update)
     return universe
 
 
@@ -90,31 +101,27 @@ def partition_snapshot_trace(
     for record in records:
         if (
             record.op == CREATE
-            and record.txn.depth == 1
+            and len(record.txn) == 1
             and record.kind == "snapshot"
         ):
-            horizons[record.txn] = (
+            horizons[_name(record.txn)] = (
                 record.arg if isinstance(record.arg, int) else 0
             )
     if not horizons:
         return list(records), horizons, []
+    snapshot_tops = {top.path for top in horizons}
     locked: List[TraceRecord] = []
     snapshot: List[TraceRecord] = []
     for record in records:
-        top = (
-            record.txn.ancestor_at_depth(1) if record.txn.depth >= 1 else None
-        )
-        (snapshot if top in horizons else locked).append(record)
+        (snapshot if record.txn[:1] in snapshot_tops else locked).append(record)
     return locked, horizons, snapshot
 
 
-def _is_permanent_under_top(
-    access: ActionName, status: Mapping[ActionName, str]
-) -> bool:
+def _is_permanent_under_top(access: Path, status: Mapping[Path, str]) -> bool:
     """Every transaction strictly between the access and its top-level
     ancestor committed (the top's own fate is the caller's concern)."""
-    for depth in range(2, access.depth):
-        if status.get(access.ancestor_at_depth(depth)) != COMMITTED:
+    for depth in range(2, len(access)):
+        if status.get(access[:depth]) != COMMITTED:
             return False
     return True
 
@@ -128,9 +135,9 @@ def committed_state_history(
     from top-level commit records' ``arg``; traces predating stamps are
     auto-stamped in commit-record order (equal to stamp order — both are
     assigned under the latch serializing top-level commits)."""
-    status: Dict[ActionName, str] = {}
-    per_top: Dict[ActionName, List[TraceRecord]] = {}
-    commits: List[Tuple[int, ActionName]] = []
+    status: Dict[Path, str] = {}
+    per_top: Dict[Path, List[TraceRecord]] = {}
+    commits: List[Tuple[int, Path]] = []
     auto = 0
     for record in records:
         if record.op == CREATE:
@@ -139,14 +146,12 @@ def committed_state_history(
             status[record.txn] = ABORTED
         elif record.op == COMMIT:
             status[record.txn] = COMMITTED
-            if record.txn.depth == 1:
+            if len(record.txn) == 1:
                 stamp = record.arg if isinstance(record.arg, int) else auto + 1
                 auto = max(auto, stamp)
                 commits.append((stamp, record.txn))
         elif record.op == PERFORM:
-            per_top.setdefault(record.txn.ancestor_at_depth(1), []).append(
-                record
-            )
+            per_top.setdefault(record.txn[:1], []).append(record)
     commits.sort(key=lambda pair: pair[0])
     values = dict(initial)
     history: Dict[str, List[Tuple[Any, Any]]] = {
@@ -181,8 +186,8 @@ def check_snapshot_reads(
     failures: List[str] = []
     if horizons:
         history = committed_state_history(locked, initial)
-        status: Dict[ActionName, str] = {}
-        per_top: Dict[ActionName, List[TraceRecord]] = {}
+        status: Dict[Path, str] = {}
+        per_top: Dict[Path, List[TraceRecord]] = {}
         for record in snapshot:
             if record.op == CREATE:
                 status[record.txn] = ACTIVE
@@ -191,17 +196,15 @@ def check_snapshot_reads(
             elif record.op == ABORT:
                 status[record.txn] = ABORTED
             elif record.op == PERFORM:
-                per_top.setdefault(
-                    record.txn.ancestor_at_depth(1), []
-                ).append(record)
+                per_top.setdefault(record.txn[:1], []).append(record)
         for top, horizon in horizons.items():
-            if status.get(top) != COMMITTED:
+            if status.get(top.path) != COMMITTED:
                 continue  # aborted/unresolved: not in perm(T)
-            for record in per_top.get(top, ()):
+            for record in per_top.get(top.path, ()):
                 if record.kind != "read":
                     failures.append(
                         "non-read access %r (%s) in snapshot transaction %r"
-                        % (record.access, record.kind, top)
+                        % (_name(record.access), record.kind, top)
                     )
                     continue
                 if not _is_permanent_under_top(record.access, status):
@@ -210,7 +213,7 @@ def check_snapshot_reads(
                 if hist is None:
                     failures.append(
                         "snapshot read %r of object %r absent from the "
-                        "initial values" % (record.access, record.obj)
+                        "initial values" % (_name(record.access), record.obj)
                     )
                     continue
                 expected = hist[0][1]
@@ -223,8 +226,8 @@ def check_snapshot_reads(
                     failures.append(
                         "snapshot read %r on %r saw %r, committed value at "
                         "horizon %d is %r"
-                        % (record.access, record.obj, record.seen, horizon,
-                           expected)
+                        % (_name(record.access), record.obj, record.seen,
+                           horizon, expected)
                     )
     if strict and failures:
         raise OracleViolation(failures[0])
@@ -241,14 +244,15 @@ def trace_to_level2_events(
     events: List[Event] = []
     for record in records:
         if record.op == CREATE:
-            events.append(Create(record.txn))
+            events.append(Create(_name(record.txn)))
         elif record.op == COMMIT:
-            events.append(CommitEvent(record.txn))
+            events.append(CommitEvent(_name(record.txn)))
         elif record.op == ABORT:
-            events.append(AbortEvent(record.txn))
+            events.append(AbortEvent(_name(record.txn)))
         elif record.op == PERFORM:
-            events.append(Create(record.access))
-            events.append(Perform(record.access, record.seen))
+            access = _name(record.access)
+            events.append(Create(access))
+            events.append(Perform(access, record.seen))
     return events
 
 
@@ -310,15 +314,16 @@ def trace_to_aat(
     data: Dict[str, Tuple[ActionName, ...]] = {}
     for record in records:
         if record.op == CREATE:
-            status[record.txn] = ACTIVE
+            status[_name(record.txn)] = ACTIVE
         elif record.op == COMMIT:
-            status[record.txn] = COMMITTED
+            status[_name(record.txn)] = COMMITTED
         elif record.op == ABORT:
-            status[record.txn] = ABORTED
+            status[_name(record.txn)] = ABORTED
         elif record.op == PERFORM:
-            status[record.access] = COMMITTED
-            labels[record.access] = record.seen
-            data[record.obj] = data.get(record.obj, ()) + (record.access,)
+            access = _name(record.access)
+            status[access] = COMMITTED
+            labels[access] = record.seen
+            data[record.obj] = data.get(record.obj, ()) + (access,)
     tree = ActionTree(universe, status, labels)
     return AugmentedActionTree(tree, data)
 

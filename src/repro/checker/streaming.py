@@ -72,9 +72,8 @@ JSONL trace/event streams (``scripts/certify_stream.py``).
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.action_tree import ABORTED, ACTIVE, COMMITTED
 from ..core.naming import ActionName
@@ -83,14 +82,12 @@ from ..engine.trace import (
     COMMIT,
     CREATE,
     PERFORM,
+    Path,
     TraceRecord,
     _record_from_json,
 )
-from .history import OracleViolation
+from .history import OracleViolation, _name
 from .window import ReorderBuffer, RetirementClock
-
-#: An action's position in the universal tree (``ActionName.path``).
-Path = Tuple[Any, ...]
 
 #: Violation kinds a streaming report may carry.
 VERSION = "version-incompatibility"
@@ -161,13 +158,16 @@ class StreamingReport:
 
 
 class _Access:
-    """One perform record riding through the window."""
+    """One perform record riding through the window.  ``access`` is its
+    path and ``owner`` its transaction's (the record's ``txn``)."""
 
-    __slots__ = ("access", "top", "obj", "kind", "seen", "arg", "seq", "fate")
+    __slots__ = ("access", "owner", "top", "obj", "kind", "seen", "arg",
+                 "seq", "fate")
 
-    def __init__(self, access, top, obj, kind, seen, arg, seq):
+    def __init__(self, access, owner, top, obj, kind, seen, arg, seq):
         self.access = access
-        self.top = top  # the owning _TopTxn
+        self.owner = owner
+        self.top = top  # the owning _TopTxn; unlinked at retirement
         self.obj = obj
         self.kind = kind
         self.seen = seen
@@ -179,13 +179,17 @@ class _Access:
 class _TopTxn:
     """Window state of one top-level transaction.  Instances are the
     keys of the conflict graph and the retirement clock (by identity),
-    so a reused top-level label never aliases an earlier incarnation."""
+    so a reused top-level label never aliases an earlier incarnation.
 
-    __slots__ = ("name", "status", "resolve_seq", "nested", "accesses",
+    Its accesses point back at it; retirement empties its access lists,
+    so a retired top and its accesses are freed by reference count, not
+    left for the cyclic collector."""
+
+    __slots__ = ("path", "status", "resolve_seq", "nested", "accesses",
                  "objects", "snapshot_horizon", "snapshot_failures")
 
-    def __init__(self, name: ActionName) -> None:
-        self.name = name
+    def __init__(self, path: Path) -> None:
+        self.path = path
         self.status = ACTIVE
         self.resolve_seq: Optional[int] = None
         #: Statuses of this top's nested (depth >= 2) transactions, keyed
@@ -211,9 +215,9 @@ class StreamingCertifier:
     :meth:`finish` at end of stream for the final report (unresolved
     transactions are then treated as non-permanent, matching ``perm(T)``).
 
-    The per-record and per-resolution paths work on the names' path
-    tuples only — no :class:`ActionName` is constructed or interned
-    while certifying; names are built for a :class:`Violation` alone.
+    Records carry path tuples and the certifier works on them directly —
+    no :class:`ActionName` is constructed or interned while certifying;
+    names are rendered for a :class:`Violation` alone.
     """
 
     def __init__(self, initial: Mapping[str, Any]) -> None:
@@ -233,11 +237,13 @@ class StreamingCertifier:
         self._reorder: ReorderBuffer[TraceRecord] = ReorderBuffer()
         self._clock = RetirementClock()
         self._seq_clock = -1  # last ingested seq (arrival-ordered fallback)
-        #: Unretired tops by top-level label (``name.path[0]``); evicted
+        #: Unretired tops by top-level label (``path[0]``); evicted
         #: at retirement, so a label reused later starts a fresh entry.
         self._tops: Dict[Any, _TopTxn] = {}
-        #: Per object: accesses whose fate is not yet known, data order.
-        self._pending: Dict[str, Deque[_Access]] = {}
+        #: Per object: accesses whose fate is not yet known, data order
+        #: (a list: most FIFOs hold one access, and a one-element list is
+        #: the cheapest container to create and drop).
+        self._pending: Dict[str, List[_Access]] = {}
         #: Per object: permanent accesses of unretired transactions.
         self._applied: Dict[str, List[_Access]] = {}
         #: Rolling top-level conflict graph: a -> {b: edge witness}.
@@ -275,18 +281,24 @@ class StreamingCertifier:
         with self._lock:
             if self._finished:
                 raise RuntimeError("certifier already finished")
-            for rec in self._reorder.push(record.seq, record):
-                self._ingest(rec)
+            if self._reorder.ready(record.seq):  # in order: no buffering
+                self._ingest(record)
+            else:
+                for rec in self._reorder.push(record.seq, record):
+                    self._ingest(rec)
 
     def feed_many(self, records: Sequence[TraceRecord]) -> None:
         """:meth:`feed` for a batch, under one crossing of the lock."""
         with self._lock:
             if self._finished:
                 raise RuntimeError("certifier already finished")
-            push = self._reorder.push
+            ready, push = self._reorder.ready, self._reorder.push
             for record in records:
-                for rec in push(record.seq, record):
-                    self._ingest(rec)
+                if ready(record.seq):
+                    self._ingest(record)
+                else:
+                    for rec in push(record.seq, record):
+                        self._ingest(rec)
 
     def feed_dict(self, data: Mapping[str, Any]) -> None:
         """Consume one JSONL-decoded trace record (the ``dump`` format of
@@ -374,8 +386,7 @@ class StreamingCertifier:
             ))
 
     def _ingest_create(self, rec: TraceRecord, now: int) -> None:
-        name = rec.txn
-        path = name.path
+        path = rec.txn
         if not path:
             self._flag(Violation(PROTOCOL, "create of U", seq=rec.seq))
             return
@@ -384,13 +395,14 @@ class StreamingCertifier:
             if top is not None and top.status == ACTIVE:
                 # Replacing it would strand its accesses at the head of
                 # their FIFOs and pin the retirement watermark forever.
+                name = _name(path)
                 self._flag(Violation(
                     PROTOCOL,
                     "create of already-active transaction %r" % (name,),
                     seq=rec.seq, txns=(name,),
                 ))
                 return
-            top = _TopTxn(name)
+            top = _TopTxn(path)
             if rec.kind == "snapshot":
                 horizon = (
                     rec.arg
@@ -404,6 +416,7 @@ class StreamingCertifier:
             if len(self._tops) > self.max_live_tops:
                 self.max_live_tops = len(self._tops)
         elif top is None:
+            name = _name(path)
             self._flag(Violation(
                 PROTOCOL,
                 "create of %r under unknown top-level transaction" % (name,),
@@ -413,19 +426,19 @@ class StreamingCertifier:
             top.nested[path] = ACTIVE
 
     def _ingest_perform(self, rec: TraceRecord) -> None:
-        path = rec.txn.path
+        path = rec.txn
         top = self._tops.get(path[0]) if path else None
         obj = rec.obj
         if top is None or rec.access is None or obj is None:
             self._flag(Violation(
                 PROTOCOL,
                 "perform %r on %r outside any known top-level transaction"
-                % (rec.access, obj),
-                seq=rec.seq, obj=obj, txns=(rec.txn,),
+                % (_name(rec.access), obj),
+                seq=rec.seq, obj=obj, txns=(_name(path),),
             ))
             return
         acc = _Access(
-            rec.access, top, obj, rec.kind, rec.seen, rec.arg, rec.seq
+            rec.access, path, top, obj, rec.kind, rec.seen, rec.arg, rec.seq
         )
         top.accesses.append(acc)
         if top.snapshot_horizon is not None:
@@ -434,8 +447,9 @@ class StreamingCertifier:
         top.objects.add(obj)
         queue = self._pending.get(obj)
         if queue is None:
-            queue = self._pending[obj] = deque()
-        queue.append(acc)
+            self._pending[obj] = [acc]
+        else:
+            queue.append(acc)
         self._pending_count += 1
         if self._pending_count > self.max_pending_accesses:
             self.max_pending_accesses = self._pending_count
@@ -449,12 +463,13 @@ class StreamingCertifier:
         commit seq precedes the snapshot's begin seq), so the history
         lookup is complete."""
         if acc.kind != "read":
+            name, access = _name(top.path), _name(acc.access)
             self._flag(Violation(
                 PROTOCOL,
                 "non-read access %r (%s) in snapshot transaction %r"
-                % (acc.access, acc.kind, top.name),
+                % (access, acc.kind, name),
                 seq=acc.seq, obj=acc.obj,
-                txns=(top.name,), accesses=(acc.access,),
+                txns=(name,), accesses=(access,),
             ))
             return
         if acc.obj not in self._committed:
@@ -464,7 +479,7 @@ class StreamingCertifier:
                     PROTOCOL,
                     "access to object %r absent from the initial values"
                     % (acc.obj,),
-                    seq=acc.seq, obj=acc.obj, accesses=(acc.access,),
+                    seq=acc.seq, obj=acc.obj, accesses=(_name(acc.access),),
                 ))
             return
         expected = self._value_at(acc.obj, top.snapshot_horizon)
@@ -481,13 +496,13 @@ class StreamingCertifier:
         return history[0][1]
 
     def _ingest_resolution(self, rec: TraceRecord, status: str, now: int) -> None:
-        name = rec.txn
-        path = name.path
+        path = rec.txn
         if not path:
             self._flag(Violation(PROTOCOL, "%s of U" % status, seq=rec.seq))
             return
         top = self._tops.get(path[0])
         if top is None:
+            name = _name(path)
             where = ("unknown top-level transaction %r" if len(path) == 1
                      else "%r under unknown top-level transaction")
             self._flag(Violation(
@@ -497,6 +512,7 @@ class StreamingCertifier:
         elif len(path) > 1:
             top.nested[path] = status
         elif top.status != ACTIVE:
+            name = _name(path)
             self._flag(Violation(
                 PROTOCOL,
                 "%s of already-%s transaction %r" % (status, top.status, name),
@@ -583,9 +599,8 @@ class StreamingCertifier:
         walked: Optional[Path] = None  # ... of the last permanent access
         fate = False
         for acc in top.accesses:
-            path = acc.access.path
-            if path[:-1] != owner:
-                owner = path[:-1]
+            if acc.owner != owner:
+                owner = acc.owner
                 fate = _permanent(nested, permanent, owner)
                 if fate and owner != walked:
                     if walked is not None:
@@ -627,7 +642,7 @@ class StreamingCertifier:
         permanent: Dict[Path, bool] = {}
         for acc in top.accesses:
             acc.fate = committed and _permanent(
-                top.nested, permanent, acc.access.path[:-1]
+                top.nested, permanent, acc.owner
             )
             if acc.fate:
                 self.permanent_accesses += 1
@@ -635,14 +650,15 @@ class StreamingCertifier:
                 self.dropped_accesses += 1
         for acc, expected in top.snapshot_failures:
             if acc.fate:
+                access = _name(acc.access)
                 self._flag(Violation(
                     VERSION,
                     "snapshot read %r on %r saw %r, committed value "
                     "at horizon %d is %r"
-                    % (acc.access, acc.obj, acc.seen,
+                    % (access, acc.obj, acc.seen,
                        top.snapshot_horizon, expected),
                     seq=acc.seq, obj=acc.obj,
-                    txns=(top.name,), accesses=(acc.access,),
+                    txns=(_name(top.path),), accesses=(access,),
                 ))
 
     def _drain(self, obj: str) -> None:
@@ -652,9 +668,11 @@ class StreamingCertifier:
         if not queue:
             return
         applied = self._applied.get(obj)
-        while queue and queue[0].fate is not None:
-            acc = queue.popleft()
-            self._pending_count -= 1
+        popped = 0
+        for acc in queue:
+            if acc.fate is None:
+                break
+            popped += 1
             if not acc.fate:
                 self.dropped_accesses += 1
                 continue
@@ -667,7 +685,7 @@ class StreamingCertifier:
                         PROTOCOL,
                         "access to object %r absent from the initial values"
                         % (obj,),
-                        seq=acc.seq, obj=obj, accesses=(acc.access,),
+                        seq=acc.seq, obj=obj, accesses=(_name(acc.access),),
                     ))
             elif kind == "increment":
                 # Blind access: no label to check — the replay applies
@@ -676,13 +694,14 @@ class StreamingCertifier:
             else:
                 expected = self._values[obj]
                 if acc.seen != expected:
+                    access = _name(acc.access)
                     self._flag(Violation(
                         VERSION,
                         "data step %r on %r saw %r, replay of its visible "
                         "history gives %r"
-                        % (acc.access, obj, acc.seen, expected),
+                        % (access, obj, acc.seen, expected),
                         seq=acc.seq, obj=obj,
-                        txns=(acc.top.name,), accesses=(acc.access,),
+                        txns=(_name(acc.top.path),), accesses=(access,),
                     ))
                 if kind == "write":
                     self._values[obj] = acc.arg
@@ -697,8 +716,11 @@ class StreamingCertifier:
             self._applied_count += 1
             if self._applied_count > self.max_applied_accesses:
                 self.max_applied_accesses = self._applied_count
-        if not queue:
+        self._pending_count -= popped
+        if popped == len(queue):
             del self._pending[obj]
+        else:
+            del queue[:popped]
 
     # -- the rolling top-level conflict graph ------------------------------
 
@@ -717,13 +739,13 @@ class StreamingCertifier:
             self.max_graph_edges = self._edge_count
         path = self._find_path(b, a)
         if path is not None:
-            cycle = [top.name for top in [a] + path]
+            cycle = [_name(top.path) for top in [a] + path]
             self._flag(Violation(
                 CYCLE,
                 "conflict sibling precedence has a cycle: %r"
                 % ([repr(n) for n in cycle],),
-                seq=d.seq, obj=c.obj,
-                txns=tuple(cycle), accesses=(c.access, d.access),
+                seq=d.seq, obj=c.obj, txns=tuple(cycle),
+                accesses=(_name(c.access), _name(d.access)),
             ))
 
     def _find_path(self, source: _TopTxn, target: _TopTxn
@@ -767,11 +789,11 @@ class StreamingCertifier:
         families: Dict[Path, Dict[Tuple[Path, Path], Tuple]] = {}
         for obj, ordered in per_obj.items():
             for i, c in enumerate(ordered):
-                c_path = c.access.path
+                c_path = c.access
                 for d in ordered[i + 1:]:
                     if not _conflict(c.kind, d.kind):
                         continue
-                    d_path = d.access.path
+                    d_path = d.access
                     shared = _shared_prefix(c_path, d_path)
                     if shared == len(c_path) or shared == len(d_path):
                         continue  # one names the other: not a sibling pair
@@ -786,12 +808,13 @@ class StreamingCertifier:
             if cycle is not None:
                 witnesses: List[ActionName] = []
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    witnesses.extend(edges.get((a, b), ()))
-                names = [ActionName(node) for node in cycle]
+                    witnesses.extend(_name(w) for w in edges.get((a, b), ()))
+                names = [_name(node) for node in cycle]
                 self._flag(Violation(
                     FAMILY_CYCLE,
                     "sibling precedence inside %r has a cycle under %r: %r"
-                    % (top.name, ActionName(lca), [repr(n) for n in names]),
+                    % (_name(top.path), _name(lca),
+                       [repr(n) for n in names]),
                     seq=top.resolve_seq,
                     txns=tuple(names), accesses=tuple(witnesses),
                 ))
@@ -800,9 +823,13 @@ class StreamingCertifier:
 
     def _retire(self) -> None:
         for top in self._clock.retire_ready():
-            label = top.name.path[0]
+            label = top.path[0]
             if self._tops.get(label) is top:
                 del self._tops[label]
+            # Every access of a retired top has left the FIFOs (its
+            # concurrents all resolved first); unlink them from it.
+            top.accesses.clear()
+            top.snapshot_failures.clear()
             for obj in top.objects:
                 applied = self._applied.get(obj)
                 if not applied:

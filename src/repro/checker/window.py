@@ -49,9 +49,13 @@ class ReorderBuffer(Generic[T]):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, seq: Optional[int], item: T) -> List[T]:
+    def ready(self, seq: Optional[int]) -> bool:
+        """Whether an item with ``seq`` is released the moment it arrives
+        — :meth:`push`'s answer would be just that item — recording its
+        release if so.  Consumers on a hot path call this first and only
+        ``push`` what it refuses, so in-order delivery allocates nothing."""
         if seq is None:
-            return [item]
+            return True
         if seq == self._next and not self._heap:
             # In order with nothing waiting: the common case (a single
             # publisher, or a batch published in reserve order) never
@@ -59,10 +63,13 @@ class ReorderBuffer(Generic[T]):
             self._next = seq + 1
             if not self.buffered_high_water:
                 self.buffered_high_water = 1
-            return [item]
-        if seq < self._next:
-            # Duplicate or stale seq (a re-fed stream): deliver in place
-            # rather than buffering forever behind an impossible gap.
+            return True
+        # Duplicate or stale seq (a re-fed stream): deliver in place
+        # rather than buffering forever behind an impossible gap.
+        return seq < self._next
+
+    def push(self, seq: Optional[int], item: T) -> List[T]:
+        if self.ready(seq):
             return [item]
         self._tiebreak += 1
         heapq.heappush(self._heap, (seq, self._tiebreak, item))

@@ -68,9 +68,13 @@ class MergeReport:
 
 
 class _Branch:
+    """A shard branch, mapped into the merged trace at ``child`` — the
+    path of ``G.<site>`` (records carry paths; the merger mints a name
+    only for the global transaction the coordinator hands it)."""
+
     __slots__ = ("site", "epoch", "child", "delivered", "finished")
 
-    def __init__(self, site: int, epoch: int, child: ActionName) -> None:
+    def __init__(self, site: int, epoch: int, child: BranchPath) -> None:
         self.site = site
         self.epoch = epoch
         self.child = child
@@ -188,7 +192,7 @@ class TraceMerger:
     ) -> None:
         with self._lock:
             stream = self._streams[site]
-            branch = _Branch(site, stream.epoch, gname.child(site))
+            branch = _Branch(site, stream.epoch, gname.path + (site,))
             key = (site, tuple(path))
             self._branches[key] = branch
             held = self._held.pop((site, stream.epoch, tuple(path)), [])
@@ -326,7 +330,7 @@ class TraceMerger:
             self._emit(TraceRecord(
                 PERFORM,
                 branch.child,
-                branch.child.child(label),
+                branch.child + (label,),
                 ClusterMap.copy_name(data["obj"], branch.site),
                 data["kind"],
                 data["seen"],
@@ -395,7 +399,7 @@ class TraceMerger:
                 self._emit(TraceRecord(
                     PERFORM,
                     branch.child,
-                    branch.child.child(perform["label"]),
+                    branch.child + (perform["label"],),
                     ClusterMap.copy_name(perform["obj"], branch.site),
                     perform["kind"],
                     perform.get("seen"),

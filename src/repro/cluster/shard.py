@@ -20,8 +20,9 @@ then speaks the length-prefixed frame protocol of :mod:`.wire`:
 
 A ``write`` op is ``read_for_update`` + ``write`` so the reply can carry
 the overwritten value; together with the engine's deterministic access
-naming (``next_access_name``) this lets the coordinator synthesize the
-exact trace records of a branch whose stream was cut off by SIGKILL.
+labels (``Transaction.next_access_key``) this lets the coordinator
+synthesize the exact trace records of a branch whose stream was cut off
+by SIGKILL.
 """
 
 from __future__ import annotations

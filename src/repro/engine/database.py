@@ -33,16 +33,22 @@ blocking API sleeps on a private gate *outside* it until ``lock_timeout``;
 the serve layer's wake target puts the op back on its submission queue.
 
 **Identity is the path.**  Lock holders, version owners, snapshot
-horizons and the registry are keyed by ``Transaction.key`` (a path tuple;
-ancestry is a prefix test).  An ``ActionName`` is built only where the
-paper's name is observable: ``Transaction.name``, trace records, events,
+horizons, the registry and trace records are keyed by ``Transaction.key``
+(a path tuple; ancestry is a prefix test).  An ``ActionName`` is built
+only where the paper's name is observable: ``Transaction.name``, events,
 the WAL, exceptions and waits-for edges (conflict path only).  The
 registry holds *live* transactions only, so an engine at rest is empty.
 
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
-recorder, WAL, metrics, whatever a wake target takes).  Trace publication,
-event fan-out and the durable fsync all happen after the latch is
-released.  See DESIGN.md
+recorder, WAL, metrics, whatever a wake target takes).  Trace
+publication — every record, aborts included: a subtree abort only
+reserves its seqs under the latch and the thread that aborted publishes
+them after release (``_publish_aborts``), so a trace listener may read
+the engine — event fan-out and the durable fsync all happen after the
+latch is released.  The exceptions are the events of the abort path
+itself (``TxnAborted``, ``DeadlockDetected``, ``VictimChosen``,
+``OrphanReaped``), still emitted under the latch: an event sink must not
+call back into the engine.  See DESIGN.md
 ("One latch") for the measurements that retired the striped alternative.
 
 Configuration axes (these drive the E1/E6 benchmarks):
@@ -106,7 +112,7 @@ from ..durability import DurabilityManager
 from .locks import INCREMENT, READ, WRITE, ObjectLocks
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .storage import ROOT, Key, VersionStack
-from .trace import COMMIT, CREATE, PERFORM, TraceRecord, TraceRecorder
+from .trace import ABORT, COMMIT, CREATE, PERFORM, TraceRecord, TraceRecorder
 from .transaction import Transaction
 
 # Batch op statuses (see NestedTransactionDB.try_perform_batch /
@@ -127,9 +133,9 @@ def _begin_record(txn: Transaction, seq: int) -> TraceRecord:
     commit stamp."""
     if txn.read_only and txn.parent is None:
         return TraceRecord(
-            CREATE, txn.name, kind="snapshot", arg=txn.snapshot_horizon, seq=seq
+            CREATE, txn.key, kind="snapshot", arg=txn.snapshot_horizon, seq=seq
         )
-    return TraceRecord(CREATE, txn.name, seq=seq)
+    return TraceRecord(CREATE, txn.key, seq=seq)
 
 
 def _perform_record(
@@ -142,7 +148,7 @@ def _perform_record(
     if kind != "write" and kind != "increment":
         kind, arg = "read", None
     return TraceRecord(
-        PERFORM, txn.name, txn.next_access_name(kind), obj, kind, seen, arg, seq
+        PERFORM, txn.key, txn.next_access_key(kind), obj, kind, seen, arg, seq
     )
 
 
@@ -151,7 +157,7 @@ def _commit_record(
 ) -> TraceRecord:
     """The ``commit`` record; a top-level's carries its commit stamp so
     certifiers can reconstruct the committed state at any horizon."""
-    return TraceRecord(COMMIT, txn.name, arg=stamp, seq=seq)
+    return TraceRecord(COMMIT, txn.key, arg=stamp, seq=seq)
 
 
 class NestedTransactionDB:
@@ -247,6 +253,9 @@ class NestedTransactionDB:
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder() if config.record_trace else None
         )
+        # ``(key, seq)`` of abort records reserved under the latch and not
+        # yet published (see _publish_aborts).
+        self._abort_seqs: List[Tuple[Key, int]] = []
         self._object_waits: Dict[str, int] = {obj: 0 for obj in initial}
         # Online certification: "streaming" subscribes an incremental
         # Theorem-9 certifier to the trace stream; violations accumulate
@@ -684,6 +693,8 @@ class NestedTransactionDB:
     def _abort(self, txn: Transaction) -> None:
         with self._latch:
             self._abort_subtree_locked(txn, reason="explicit abort")
+        if self._abort_seqs:
+            self._publish_aborts()
 
     def _abort_subtree_locked(self, txn: Transaction, reason: str) -> None:
         """Abort every active transaction in txn's subtree, deepest first,
@@ -693,7 +704,9 @@ class NestedTransactionDB:
         parked on its objects are woken at the point of release (a later
         raise in the caller's section cannot lose the wake-up; under lazy
         cleanup the woken request reaps the dead holder itself), and so
-        are the subtree's own parked requests, to learn they are dead."""
+        are the subtree's own parked requests, to learn they are dead.
+        Each abort record's seq is reserved here; the caller publishes
+        the records after release (:meth:`_publish_aborts`)."""
         if txn.status != ACTIVE:
             return  # idempotent; committed subtrees die via ancestor deadness
         for child in txn.children:
@@ -705,7 +718,7 @@ class NestedTransactionDB:
         if txn.parent is None:
             self._snapshot_horizons.pop(key, None)
         if self.trace is not None:
-            self.trace.record_abort(txn.name)
+            self._abort_seqs.append((key, self.trace.reserve_seq()))
         if self._waiters:
             self._wake_locked(txn.held_objects)
             self._withdraw_locked(txn)
@@ -720,6 +733,21 @@ class NestedTransactionDB:
         self.stats.aborted += 1
         if self.events.enabled:
             self.events.emit(TxnAborted(txn.name, reason))
+
+    def _publish_aborts(self) -> None:
+        """Publish the abort records reserved under the latch (latch
+        *not* held).  Every path that can abort calls this after it
+        releases the latch — the blocking and batched attempts on their
+        way out, raise or not (a deadlock victim is aborted inside an
+        attempt).  The backlog is taken under the latch, so each record
+        is published once, by whichever such thread comes first; a
+        caller whose records another thread took finds it empty."""
+        with self._latch:
+            reserved, self._abort_seqs = self._abort_seqs, []
+        if reserved:
+            self.trace.publish_many(
+                [TraceRecord(ABORT, key, seq=seq) for key, seq in reserved]
+            )
 
     def cancel_waits(self, txn: Transaction) -> None:
         """Withdraw ``txn``'s blocked requests — wait-queue entries and
@@ -818,15 +846,19 @@ class NestedTransactionDB:
         gate: Optional[Any] = None
         deadline: Optional[float] = None
         while True:
-            with self._latch:
-                granted = self._attempt_locked(txn, kind, obj, arg)
-                if granted is None:
-                    if gate is None:
-                        gate = threading.Lock()
-                        gate.acquire()
-                    # Parked <=> the gate is shut: whoever takes the entry
-                    # out opens it, once.
-                    self._park_locked(txn, obj, gate.release)
+            try:
+                with self._latch:
+                    granted = self._attempt_locked(txn, kind, obj, arg)
+                    if granted is None:
+                        if gate is None:
+                            gate = threading.Lock()
+                            gate.acquire()
+                        # Parked <=> the gate is shut: whoever takes the
+                        # entry out opens it, once.
+                        self._park_locked(txn, obj, gate.release)
+            finally:
+                if self._abort_seqs:  # a deadlock victim was aborted
+                    self._publish_aborts()
             if granted is not None:
                 break
             now = time.monotonic()
@@ -1063,31 +1095,35 @@ class NestedTransactionDB:
                 raise ValueError("unknown batch op kind %r" % (op[1],))
         results: List[Tuple[str, Any]] = []
         publish: List[Tuple[Transaction, str, str, Any, Any, int]] = []
-        with self._latch:
-            for op in ops:
-                txn, kind, obj, arg = op[:4]
-                if kind == "increment" and self.single_mode and not txn.read_only:
-                    # Two dependent lock requests; the fallback runs both.
-                    results.append((BATCH_BLOCKED, None))
-                    continue
-                try:
-                    granted = self._attempt_locked(txn, kind, obj, arg)
-                except (
-                    TransactionAborted,
-                    InvalidTransactionState,
-                    UnknownObject,
-                ) as error:
-                    results.append((BATCH_ERROR, error))
-                    continue
-                if granted is None:
-                    if len(op) > 4 and op[4] is not None:
-                        self._park_locked(txn, obj, op[4])
-                    results.append((BATCH_BLOCKED, None))
-                    continue
-                seen, seq = granted
-                if seq is not None:
-                    publish.append((txn, obj, kind, seen, arg, seq))
-                results.append((BATCH_DONE, None if kind == "write" else seen))
+        try:
+            with self._latch:
+                for op in ops:
+                    txn, kind, obj, arg = op[:4]
+                    if kind == "increment" and self.single_mode and not txn.read_only:
+                        # Two dependent lock requests; the fallback runs both.
+                        results.append((BATCH_BLOCKED, None))
+                        continue
+                    try:
+                        granted = self._attempt_locked(txn, kind, obj, arg)
+                    except (
+                        TransactionAborted,
+                        InvalidTransactionState,
+                        UnknownObject,
+                    ) as error:
+                        results.append((BATCH_ERROR, error))
+                        continue
+                    if granted is None:
+                        if len(op) > 4 and op[4] is not None:
+                            self._park_locked(txn, obj, op[4])
+                        results.append((BATCH_BLOCKED, None))
+                        continue
+                    seen, seq = granted
+                    if seq is not None:
+                        publish.append((txn, obj, kind, seen, arg, seq))
+                    results.append((BATCH_DONE, None if kind == "write" else seen))
+        finally:
+            if self._abort_seqs:  # a deadlock victim was aborted
+                self._publish_aborts()
         if publish:
             # Every latch released; seqs were reserved under it, so the
             # linearization is unaffected (readers sort by seq).

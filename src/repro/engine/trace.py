@@ -5,14 +5,25 @@ a :class:`TraceRecorder`.  Each record carries a monotonically
 increasing sequence number, so the trace is a single linearization of
 what happened.
 
+**Records carry paths.**  A record names its transaction and access by
+their position in the universal tree (Section 3.1) — the engine's own
+``Transaction.key`` and ``key + (label,)`` tuples — so tracing a program
+mints no :class:`~repro.core.naming.ActionName`.  The paper's name is
+rendered (``ActionName.make(record.txn)``) only where someone reads it:
+certification violations, the offline oracle's entry into
+:mod:`repro.core`, the cluster merger, error messages.  The constructor
+still accepts names (hand-built records) and stores their paths, and
+the JSONL form was always path lists.
+
 **Linearization argument.**  The sequence number is *reserved*
 (:meth:`TraceRecorder.reserve_seq` — one atomic counter bump) while the
 recording thread still holds the engine latch that serializes the
 corresponding state change, so reservations happen in the order the
 state changes did and the seq order respects per-object and lifecycle
 causality.  The :class:`TraceRecord` object
-itself may then be constructed and **published off the critical path**,
-after the latch is released: publication order does not matter, because
+itself is then constructed and **published off the critical path**,
+after the latch is released — every engine record, aborts included:
+publication order does not matter, because
 :attr:`TraceRecorder.records` and :meth:`TraceRecorder.dump` present
 records in seq order (late publications are re-sorted on read).  The
 convenience ``record_*`` methods reserve and publish in one step, which
@@ -48,18 +59,33 @@ PERFORM = "perform"
 COMMIT = "commit"
 ABORT = "abort"
 
+#: A position in the universal tree: ``ActionName.path``, or the
+#: engine's ``Transaction.key``.
+Path = Tuple[Any, ...]
+
+
+def _as_path(name: Union[ActionName, Sequence[Any], None]) -> Optional[Path]:
+    """The path a record stores for a name given as an ``ActionName`` or
+    as any sequence of atoms (``None`` stays ``None``)."""
+    if name is None:
+        return None
+    return name.path if isinstance(name, ActionName) else tuple(name)
+
 
 @dataclass(init=False)
 class TraceRecord:
     """One engine event.
 
-    For ``perform`` records, ``access`` is the synthetic leaf action (a
-    child of the transaction) modelling the read/write as a paper access,
-    ``kind`` is "read" or "write", ``seen`` is the value the access
-    observed (the paper's label u), and ``arg`` is the written value for
-    writes (None for reads).  ``seq`` is the recorder-assigned sequence
-    number (None for hand-built records); list position and ``seq`` order
-    always agree for recorder-produced traces.
+    ``txn`` is the transaction's path; for ``perform`` records,
+    ``access`` is the path of the synthetic leaf action (a child of the
+    transaction) modelling the read/write as a paper access, ``kind`` is
+    "read" or "write", ``seen`` is the value the access observed (the
+    paper's label u), and ``arg`` is the written value for writes (None
+    for reads).  ``seq`` is the recorder-assigned sequence number (None
+    for hand-built records); list position and ``seq`` order always
+    agree for recorder-produced traces.  ``txn`` and ``access`` may be
+    passed as :class:`ActionName` s; the record keeps their paths, so
+    there is one stored form (render one with ``ActionName.make``).
 
     A value object: treat instances as immutable (derive variants with
     ``dataclasses.replace``).  The engine builds one per traced event, so
@@ -72,8 +98,8 @@ class TraceRecord:
     __slots__ = ("op", "txn", "access", "obj", "kind", "seen", "arg", "seq")
 
     op: str
-    txn: ActionName
-    access: Optional[ActionName]
+    txn: Path
+    access: Optional[Path]
     obj: Optional[str]
     kind: Optional[str]
     seen: Any
@@ -83,8 +109,8 @@ class TraceRecord:
     def __init__(
         self,
         op: str,
-        txn: ActionName,
-        access: Optional[ActionName] = None,
+        txn: Union[Path, ActionName],
+        access: Union[Path, ActionName, None] = None,
         obj: Optional[str] = None,
         kind: Optional[str] = None,
         seen: Any = None,
@@ -92,8 +118,9 @@ class TraceRecord:
         seq: Optional[int] = None,
     ) -> None:
         self.op = op
-        self.txn = txn
-        self.access = access
+        # The engine passes tuples: one class check, no call.
+        self.txn = txn if txn.__class__ is tuple else _as_path(txn)
+        self.access = access if access.__class__ is tuple else _as_path(access)
         self.obj = obj
         self.kind = kind
         self.seen = seen
@@ -131,10 +158,10 @@ class TraceRecorder:
     def add_listener(self, listener: Any, many: Any = None) -> Any:
         """Subscribe a callable to every published record.
 
-        Listeners run on the publishing thread, *outside* the recorder's
-        leaf lock but possibly inside an engine latch (abort records are
-        published eagerly), so they must be leaf consumers: take only
-        their own locks, never call back into the engine.  A raising
+        Listeners run on the publishing thread, outside the recorder's
+        leaf lock and outside the engine latch, so a listener may read
+        the engine (``db.read_committed``) but must not block on work
+        the publishing thread has yet to do.  A raising
         listener is contained (counted, never propagated) — the same
         contract as event sinks; ``NestedTransactionDB.assert_certified``
         refuses to certify a stream whose listener raised.  ``many``, when
@@ -154,13 +181,10 @@ class TraceRecorder:
                 pair for pair in self._listeners if pair[0] is not listener
             )
 
-    def _deliver(self, consumer: Any, payload: Any) -> None:
-        try:
-            consumer(payload)
-        except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
-            with self._lock:
-                self.listener_errors += 1
-                self.last_listener_error = error
+    def _listener_failed(self, error: Exception) -> None:
+        with self._lock:
+            self.listener_errors += 1
+            self.last_listener_error = error
 
     # -- hot-path API: reserve inside the latch, publish outside -----------
 
@@ -182,7 +206,10 @@ class TraceRecorder:
                 self._last_seq = seq
             self._records.append(record)
         for listener, _many in self._listeners:
-            self._deliver(listener, record)
+            try:
+                listener(record)
+            except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
+                self._listener_failed(error)
 
     def publish_many(self, records: Sequence[TraceRecord]) -> None:
         """:meth:`publish` for a batch: one crossing of the recorder's
@@ -202,26 +229,32 @@ class TraceRecorder:
             self._records.extend(records)
         for listener, many in self._listeners:
             if many is not None:
-                self._deliver(many, records)
-            else:
-                for record in records:
-                    self._deliver(listener, record)
+                try:
+                    many(records)
+                except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
+                    self._listener_failed(error)
+                continue
+            for record in records:
+                try:
+                    listener(record)
+                except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
+                    self._listener_failed(error)
 
     # -- convenience API: reserve + publish in one step --------------------
 
-    def record_create(self, txn: ActionName) -> None:
+    def record_create(self, txn: Union[Path, ActionName]) -> None:
         self.publish(TraceRecord(CREATE, txn, seq=next(self._seq)))
 
-    def record_commit(self, txn: ActionName) -> None:
+    def record_commit(self, txn: Union[Path, ActionName]) -> None:
         self.publish(TraceRecord(COMMIT, txn, seq=next(self._seq)))
 
-    def record_abort(self, txn: ActionName) -> None:
+    def record_abort(self, txn: Union[Path, ActionName]) -> None:
         self.publish(TraceRecord(ABORT, txn, seq=next(self._seq)))
 
     def record_perform(
         self,
-        txn: ActionName,
-        access: ActionName,
+        txn: Union[Path, ActionName],
+        access: Union[Path, ActionName],
         obj: str,
         kind: str,
         seen: Any,
@@ -314,19 +347,20 @@ class TraceRecorder:
         return recorder
 
 
-def _name_to_json(name: Optional[ActionName]) -> Optional[list]:
-    return None if name is None else list(name.path)
+def _path_to_json(path: Optional[Path]) -> Optional[list]:
+    return None if path is None else list(path)
 
 
-def _name_from_json(path: Optional[list]) -> Optional[ActionName]:
-    return None if path is None else ActionName(tuple(path))
+def _path_from_json(path: Optional[list]) -> Optional[Path]:
+    # Through ActionName for its atom validation (ints and strings only).
+    return None if path is None else ActionName(tuple(path)).path
 
 
 def _record_to_json(record: TraceRecord) -> dict:
     return {
         "op": record.op,
-        "txn": _name_to_json(record.txn),
-        "access": _name_to_json(record.access),
+        "txn": _path_to_json(record.txn),
+        "access": _path_to_json(record.access),
         "obj": record.obj,
         "kind": record.kind,
         "seen": record.seen,
@@ -338,8 +372,8 @@ def _record_to_json(record: TraceRecord) -> dict:
 def _record_from_json(data: dict) -> TraceRecord:
     return TraceRecord(
         op=data["op"],
-        txn=_name_from_json(data["txn"]),
-        access=_name_from_json(data.get("access")),
+        txn=_path_from_json(data["txn"]),
+        access=_path_from_json(data.get("access")),
         obj=data.get("obj"),
         kind=data.get("kind"),
         seen=data.get("seen"),

@@ -55,7 +55,8 @@ class Transaction:
     are keyed by, and ancestry is a tuple-prefix test on it.  The paper's
     name (Section 3.1) is that path *rendered*: :attr:`name` builds the
     :class:`ActionName` on first read, so a transaction nobody observes
-    by name (no trace, event sink, WAL or error) never mints one.
+    by name (event sink, WAL, error) never mints one — trace records
+    carry the key too.
     """
 
     __slots__ = (
@@ -112,10 +113,13 @@ class Transaction:
         """Reflexive, as the paper's ``anc``: a tuple-prefix test."""
         return other.key[: len(self.key)] == self.key
 
-    def next_access_name(self, kind: str) -> ActionName:
+    def next_access_key(self, kind: str) -> Key:
+        """The path of this transaction's next access leaf: labels are
+        ``r0`` / ``w1`` / ``i2`` (kind initial, then a per-transaction
+        counter), so a replay of the same operations names them alike."""
         label = "%s%d" % (kind[0], self._access_counter)
         self._access_counter += 1
-        return self.name.child(label)
+        return self.key + (label,)
 
     # -- data operations -----------------------------------------------------
 

@@ -159,7 +159,7 @@ class TestTraceMerger:
         report = merger.finish()
         assert report.ok and report.unresolved == 0
         assert merger.records[-1].op == "commit"
-        assert merger.records[-1].txn == g
+        assert merger.records[-1].txn == g.path
 
     def test_unresolved_decision_fails_the_merge(self):
         merger = TraceMerger({"x@0": 0})

@@ -597,11 +597,9 @@ def load_profile_script():
 @pytest.mark.parametrize("record_trace", [False, True])
 def test_no_name_is_minted_unless_someone_reads_it(record_trace):
     """200 spine-shaped programs (5 transactions, 20 accesses each).
-    With no trace, no event sink and metrics off nobody reads a name, and
-    the engine constructs none and never probes the interning table: 0,
-    exactly.  With a trace every ``create`` record reads its
-    transaction's name (5) and every ``perform`` record its access's
-    (20); ``commit`` records reuse the cached one — and nothing more."""
+    With no event sink and metrics off nobody reads a name, and the
+    engine constructs none and never probes the interning table: 0,
+    exactly — with or without a trace, whose records carry the paths."""
     profile = load_profile_script()
     names = ["o%d" % i for i in range(64)]
     db = NestedTransactionDB(
@@ -613,13 +611,10 @@ def test_no_name_is_minted_unless_someone_reads_it(record_trace):
     with profile.counting_names() as counts:
         for _ in range(programs):
             spine_shaped_program(db, rng, names)
-    minted = (5 + 20) * programs if record_trace else 0
-    assert counts == {
-        "__init__": 0, "__init___checker": 0,
-        "_of": 0, "_of_checker": 0,
-        "child": minted, "child_checker": 0,
-        "get": minted, "get_checker": 0,  # child()'s lookup-only probe
-        "setdefault": 0, "setdefault_checker": 0,
+    assert counts == dict.fromkeys(counts, 0)
+    assert set(counts) == {
+        key for name in profile.NAME_COUNTERS
+        for key in (name, name + "_checker")
     }
     if record_trace:
         assert len(db.trace) == 30 * (programs + 1)
@@ -675,3 +670,92 @@ def test_reading_names_early_changes_nothing_observable(steps, lazy):
     lazily = observe_script(steps, lazy, on_begin=lambda txn: None)
     eagerly = observe_script(steps, lazy, on_begin=lambda txn: txn.name)
     assert lazily == eagerly
+
+
+# ---------------------------------------------------------------------------
+# One publication rule: every trace record — aborts included — is
+# published after the latch is released, so a listener may read the engine
+
+
+class EngineReadingListener:
+    """A trace listener that reads the engine on every ``abort`` record
+    (on a non-reentrant latch this deadlocks if the record is published
+    inside it)."""
+
+    def __init__(self, db):
+        self.db = db
+        self.seen = []
+
+    def __call__(self, record):
+        if record.op == "abort":
+            self.seen.append((record.txn, self.db.read_committed("x")))
+
+
+def off_thread(fn):
+    """``fn()`` on a daemon thread that must finish within 5 s."""
+    outcome = []
+    thread = threading.Thread(target=lambda: outcome.append(fn()), daemon=True)
+    thread.start()
+    thread.join(5)
+    assert not thread.is_alive(), "a trace listener deadlocked on the latch"
+    return outcome[0]
+
+
+def listening_db(**config):
+    db = NestedTransactionDB(
+        {"x": 0, "y": 0},
+        config=EngineConfig(certify="streaming", lock_timeout=30.0, **config),
+    )
+    return db, db.trace.add_listener(EngineReadingListener(db))
+
+
+def test_abort_record_listener_may_read_the_engine():
+    db, listener = listening_db()
+
+    def abort_a_tree():
+        top = db.begin_transaction()
+        top.write("x", 1)
+        top.begin_subtransaction().write("y", 2)
+        top.abort()
+
+    off_thread(abort_a_tree)
+    assert listener.seen == [((0, 0), 0), ((0,), 0)]  # deepest first
+    assert db.trace.listener_errors == 0
+    db.assert_quiescent()
+    db.certifier.finish()
+    db.assert_certified()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_deadlock_victim_abort_record_listener_may_read_the_engine(batched):
+    """The victim is aborted inside the requester's attempt, which then
+    raises (blocking) or reports (batched) ``DeadlockAbort``: the abort
+    record is published on the way out either way."""
+    db, listener = listening_db(deadlock_policy="requester")
+    waiter, requester = db.begin_transaction_batch(2)
+    waiter.write("x", 1)
+    requester.write("y", 1)
+    assert db.try_perform_batch([(waiter, "read", "y", None)]) == [
+        ("blocked", None)
+    ]
+
+    def close_the_cycle():
+        if batched:
+            ((status, error),) = db.try_perform_batch(
+                [(requester, "read", "x", None)]
+            )
+            return status, type(error).__name__
+        try:
+            requester.read("x")
+        except DeadlockAbort as error:
+            return "raised", type(error).__name__
+
+    assert off_thread(close_the_cycle) == (
+        "error" if batched else "raised", "DeadlockAbort"
+    )
+    assert listener.seen == [((1,), 0)]
+    assert waiter.read("y") == 0
+    waiter.commit()
+    db.assert_quiescent()
+    db.certifier.finish()
+    db.assert_certified()

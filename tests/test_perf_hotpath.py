@@ -77,7 +77,7 @@ class TestDeferredTracePublication:
         rec.publish(TraceRecord(CREATE, U.child(0), seq=s0))
         rec.publish(TraceRecord(CREATE, U.child(1), seq=s1))
         assert [r.seq for r in rec.records] == [s0, s1, s2]
-        assert [r.txn for r in rec.records] == [U.child(0), U.child(1), U.child(2)]
+        assert [r.txn for r in rec.records] == [(0,), (1,), (2,)]
 
     def test_dump_load_round_trip_preserves_sorted_order(self):
         rec = TraceRecorder()

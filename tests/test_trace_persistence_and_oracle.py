@@ -70,7 +70,7 @@ class TestTracePersistence:
         recorder.dump(buffer)
         buffer.seek(0)
         loaded = TraceRecorder.load(buffer)
-        assert loaded.records[1].access == txn.child("r0")
+        assert loaded.records[1].access == txn.child("r0").path
         assert loaded.records[1].seen == 7
 
     def test_empty_trace_roundtrip(self, tmp_path):
@@ -226,7 +226,7 @@ class TestOracleMutationSensitivity:
         records, initial = self._good_trace()
         # drop the first top-level's commit
         index = next(
-            i for i, r in enumerate(records) if r.op == "commit" and r.txn.depth == 1
+            i for i, r in enumerate(records) if r.op == "commit" and len(r.txn) == 1
         )
         mutated = records[:index] + records[index + 1 :]
         report = check_trace_serializable(mutated, initial, strict=False)
