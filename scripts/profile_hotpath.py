@@ -29,6 +29,18 @@ so a certified program mints no name either.  ``--count-only`` stops
 after the counts and exits non-zero unless every one of them is zero —
 the deterministic guard the ``perf-smoke`` CI job runs on both shapes.
 
+``--served`` runs 256 concurrent sessions (two increments and a read;
+10 % read three objects) through ``AsyncFrontend`` over a certified
+engine with a group-commit WAL.  The work is spread over the event-loop
+thread and the serve workers, so it profiles *every* thread (a profiler
+is started in each worker as it starts), and prints each thread's CPU
+time per committed transaction and the loop wake-ups per committed
+transaction.  ``--served --count-only`` prints those and exits non-zero
+unless the loop is woken less than once per transaction: results must
+reach the loop in bursts, not one thread hand-off per awaited result::
+
+    PYTHONPATH=src python scripts/profile_hotpath.py --served --count-only
+
 Findings are stable across runs because the workload is deterministic
 (seeded RNG, fixed object pool).  The engine is keyed by path tuples, so
 the remaining profile is the skeleton — latch acquire/release
@@ -40,13 +52,17 @@ reads and lock inheritance at commit — with no ``ActionName.__hash__`` /
 from __future__ import annotations
 
 import argparse
+import asyncio
 import cProfile
 import os
 import pstats
 import random
 import sys
+import tempfile
+import threading
+import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 def run_workload(
@@ -170,6 +186,133 @@ def count_names(txns: int, objects: int, certified: bool) -> Dict[str, int]:
     return counts
 
 
+#: The served shape: sessions in flight, store size and read-only share of
+#: the spine's ``served_durable`` workload.
+SERVED_SESSIONS = 256
+SERVED_OBJECTS = 16384
+SERVED_READ_ONLY_SHARE = 0.10
+
+
+def _profile_each_new_thread(profilers: List[cProfile.Profile]):
+    """A ``threading.setprofile`` hook that starts a profiler in every
+    thread started after it is set (a profiler only sees its own
+    thread)."""
+
+    def start(frame, event, arg):
+        sys.setprofile(None)
+        profiler = cProfile.Profile()
+        profilers.append(profiler)
+        profiler.enable()
+
+    return start
+
+
+def run_served(
+    txns: int, seed: int = 42, profilers: Optional[List[cProfile.Profile]] = None
+) -> Tuple[int, Dict[str, float]]:
+    """Run ``txns`` sessions, ``SERVED_SESSIONS`` at a time, through
+    ``AsyncFrontend`` over a certified group-WAL engine; with
+    ``profilers`` given, profile every thread into it.  Returns the loop
+    wake-ups — calls of its ``call_soon_threadsafe``, counted here, so
+    the count means the same whatever the front-end does — and each
+    thread's CPU seconds."""
+    from repro.durability import DurabilityManager
+    from repro.engine import EngineConfig, NestedTransactionDB
+    from repro.serve import AsyncFrontend
+
+    names = ["x%d" % i for i in range(SERVED_OBJECTS)]
+    rng = random.Random(seed)
+    programs = [
+        (rng.random() < SERVED_READ_ONLY_SHARE, rng.sample(names, 3),
+         rng.randint(1, 9))
+        for _ in range(txns)
+    ]
+
+    async def body(session, read_only, objs, amount):
+        if read_only:
+            for obj in objs:
+                await session.read(obj)
+        else:
+            await session.increment(objs[0], amount)
+            await session.increment(objs[1], -amount)
+            await session.read(objs[2])
+
+    wakeups = [0]
+    wakeups_lock = threading.Lock()
+
+    async def drive(frontend):
+        loop = asyncio.get_running_loop()
+        call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def counted(*args, **kwargs):
+            with wakeups_lock:
+                wakeups[0] += 1
+            return call_soon_threadsafe(*args, **kwargs)
+
+        loop.call_soon_threadsafe = counted
+        tickets = iter(programs)
+
+        async def client():
+            for read_only, objs, amount in tickets:
+                await frontend.run_session(
+                    lambda s: body(s, read_only, objs, amount),
+                    read_only=read_only,
+                )
+
+        await asyncio.gather(*[client() for _ in range(SERVED_SESSIONS)])
+
+    with tempfile.TemporaryDirectory() as wal_dir:
+        db = NestedTransactionDB(
+            {name: 1000 for name in names},
+            config=EngineConfig(
+                record_trace=True,
+                certify="streaming",
+                durability=DurabilityManager(wal_dir, sync_policy="group"),
+            ),
+        )
+        if profilers is not None:
+            threading.setprofile(_profile_each_new_thread(profilers))
+        try:
+            frontend = AsyncFrontend(db, workers=2)
+        finally:
+            threading.setprofile(None)
+        main_profiler = cProfile.Profile() if profilers is not None else None
+        loop_started = time.thread_time()
+        if main_profiler is not None:
+            profilers.append(main_profiler)
+            main_profiler.enable()
+        try:
+            asyncio.run(drive(frontend))
+        finally:
+            if main_profiler is not None:
+                main_profiler.disable()
+            cpu = {"event loop": time.thread_time() - loop_started}
+            for thread in frontend.submitter._workers:
+                cpu[thread.name] = time.clock_gettime(
+                    time.pthread_getcpuclockid(thread.ident)
+                )
+            frontend.close()
+        db.certifier.finish()
+        db.assert_certified()
+        db.assert_quiescent()
+        db.close()
+    return wakeups[0], cpu
+
+
+def report_served(txns: int, wakeups: int, cpu: Dict[str, float]) -> float:
+    """Print the per-thread CPU and the wake-up count of a served run;
+    returns loop wake-ups per committed transaction."""
+    per_txn = wakeups / txns
+    print(
+        "served: %d sessions in flight, %d committed txns, certified, "
+        "group-commit WAL" % (SERVED_SESSIONS, txns)
+    )
+    print("  loop wake-ups           %8d (%.3f/txn)" % (wakeups, per_txn))
+    for name, seconds in cpu.items():
+        print("  CPU %-20s %8.1f us/txn" % (name, seconds / txns * 1e6))
+    return per_txn
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--txns", type=int, default=2000)
@@ -192,11 +335,20 @@ def main(argv=None) -> int:
         help="the same shape under the streaming certifier, with the "
         "same counts (ignores --ops/--no-trace)",
     )
+    shape.add_argument(
+        "--served",
+        action="store_true",
+        help="%d concurrent sessions through AsyncFrontend over a certified "
+        "group-WAL engine; profiles every thread and prints per-thread CPU "
+        "and loop wake-ups per txn (ignores --ops/--objects/--no-trace)"
+        % SERVED_SESSIONS,
+    )
     parser.add_argument(
         "--count-only",
         action="store_true",
         help="with --nested/--certified: print the counts and skip the "
-        "profile; exit 1 unless every count is zero",
+        "profile; exit 1 unless every count is zero.  With --served: exit "
+        "1 unless loop wake-ups per committed txn are below 1",
     )
     parser.add_argument(
         "--sort",
@@ -209,10 +361,36 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     spine_shape = args.nested or args.certified
-    if args.count_only and not spine_shape:
-        parser.error("--count-only needs --nested or --certified")
+    if args.count_only and not (spine_shape or args.served):
+        parser.error("--count-only needs --nested, --certified or --served")
 
     import repro.engine  # noqa: F401 - import cost outside the profile
+
+    if args.served:
+        profilers: Optional[List[cProfile.Profile]] = (
+            None if args.count_only else []
+        )
+        wakeups, cpu = run_served(args.txns, profilers=profilers)
+        per_txn = report_served(args.txns, wakeups, cpu)
+        if args.count_only:
+            if not 0 < per_txn < 1:
+                print(
+                    "FAIL: the event loop was woken %.2f times per "
+                    "transaction (must be above 0 and below 1)" % per_txn
+                )
+                return 1
+            return 0
+        stats = pstats.Stats(*profilers, stream=sys.stdout)
+        stats.strip_dirs().sort_stats(args.sort)
+        print(
+            "served profile, all %d threads: %d txns (the per-thread CPU "
+            "above is from the same, profiled, run)" % (len(profilers), args.txns)
+        )
+        stats.print_stats(args.lines)
+        if args.out:
+            stats.dump_stats(args.out)
+            print("raw stats written to %s" % args.out)
+        return 0
 
     if spine_shape:
         # Counted in its own run: the shims would distort the profile.

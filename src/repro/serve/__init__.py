@@ -6,8 +6,9 @@ thread and every operation crosses an engine latch alone.  This package
 splits the problem the way a reactor splits I/O from CPU:
 
 * :mod:`repro.serve.frontend` — an asyncio front-end multiplexing
-  thousands of in-flight sessions onto a small CPU worker pool, bridged
-  by ``concurrent.futures.Future`` → ``asyncio.wrap_future``;
+  thousands of in-flight sessions onto a small CPU worker pool; workers
+  land results in a per-loop outbox and wake the event loop once per
+  burst of results, not once per awaited result;
 * :mod:`repro.serve.batch` — the leader/follower submission queue in
   front of the engine: one latch crossing begins / performs /
   commits a whole batch (the WAL group-commit pattern generalized to

@@ -38,6 +38,11 @@ Because workers never block, commits always have a worker to run on —
 blocked ops can never deadlock against their own batch, no matter how
 many thousands of sessions are in flight over how few threads.
 
+Every item is completed by one step, :func:`_finish`, on the target it
+was built with: a ``concurrent.futures.Future`` for direct ``submit_*``
+callers, or the asyncio front-end's loop-side target, which hands whole
+bursts of results to the event loop at once (``frontend.py``).
+
 Compound operations — ``rmw``, and ``increment`` against a single-mode
 engine (where increments degenerate to read-modify-write) — are expanded
 by the submitter into a chained pair of batch ops (``read_for_update``
@@ -55,7 +60,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from functools import partial
 from typing import Any, List, Optional
 
@@ -103,6 +108,7 @@ class _Item:
         obj: Optional[str] = None,
         arg: Any = None,
         read_only: bool = False,
+        future: Any = None,
     ) -> None:
         self.kind = kind
         self.txn = txn
@@ -110,11 +116,29 @@ class _Item:
         self.obj = obj
         self.arg = arg
         self.read_only = read_only
-        self.future: Future = Future()
+        # The completion target: anything with ``done`` / ``set_result`` /
+        # ``set_exception`` (the asyncio front-end passes a loop-side
+        # one); a direct ``submit_*`` caller gets a plain Future.
+        self.future = future if future is not None else Future()
         # Set when the op first blocks: ``that moment + lock_timeout``.
         self.deadline: Optional[float] = None
         self.stage: Optional[str] = None
         self.rmw_delta: Any = None
+
+
+def _finish(item: _Item, value: Any, error: Optional[BaseException]) -> None:
+    """Complete ``item``: its value, or ``error`` when that is not None.
+    The one completion step of the submitter.  A target its caller has
+    cancelled, or one already complete, keeps what it has: the refusal
+    stays with this item instead of failing the rest of its chunk."""
+    target = item.future
+    try:
+        if error is None:
+            target.set_result(value)
+        else:
+            target.set_exception(error)
+    except InvalidStateError:
+        pass
 
 
 class BatchSubmitter:
@@ -212,7 +236,8 @@ class BatchSubmitter:
     def submit_abort(self, txn: Any) -> Future:
         return self._submit(_Item(ABORT, txn=txn))
 
-    def _submit(self, item: _Item) -> Future:
+    def _submit(self, item: _Item) -> Any:
+        """Enqueue ``item``; returns its completion target."""
         with self._wakeup:
             if self._closed:
                 raise RuntimeError("submitter is closed")
@@ -253,8 +278,7 @@ class BatchSubmitter:
                 self._run_chunk(chunk)
             except BaseException as error:  # noqa: BLE001 - future-contained
                 for item in chunk:
-                    if not item.future.done():
-                        item.future.set_exception(error)
+                    _finish(item, None, error)
 
     def _due_locked(self, now: float) -> List[_Item]:
         """Pop the unresolved ops whose deadline has passed, and the
@@ -284,7 +308,7 @@ class BatchSubmitter:
         the mutex); one sent without was past its deadline and fails."""
         if not parked:
             self.db.cancel_waits(item.txn)
-            item.future.set_exception(LockTimeout(item.txn.name, item.obj))
+            _finish(item, None, LockTimeout(item.txn.name, item.obj))
             return
         now = time.monotonic()
         with self._wakeup:
@@ -338,10 +362,10 @@ class BatchSubmitter:
                     )
                 except BaseException as error:  # noqa: BLE001
                     for item in group:
-                        item.future.set_exception(error)
+                        _finish(item, None, error)
                 else:
                     for item, txn in zip(group, txns):
-                        item.future.set_result(txn)
+                        _finish(item, txn, None)
             return
         for item in begins:
             self._complete(item, self._begin_direct, item)
@@ -384,13 +408,13 @@ class BatchSubmitter:
                     item.arg = payload + item.rmw_delta
                     chained.append(item)
                 elif item.stage == _STAGE_RMW_WRITE:
-                    item.future.set_result(
-                        item.arg if item.op_kind == "rmw" else None
+                    _finish(
+                        item, item.arg if item.op_kind == "rmw" else None, None
                     )
                 else:
-                    item.future.set_result(payload)
+                    _finish(item, payload, None)
             elif status == "error":
-                item.future.set_exception(payload)
+                _finish(item, None, payload)
             else:
                 self._blocked(item, parked=request[4] is not None)
         if chained:
@@ -401,10 +425,7 @@ class BatchSubmitter:
     def _run_commits_batched(self, commits: List[_Item]) -> None:
         results = self.db.commit_batch([item.txn for item in commits])
         for item, (status, payload) in zip(commits, results):
-            if status == "error":
-                item.future.set_exception(payload)
-            else:
-                item.future.set_result(None)
+            _finish(item, None, payload if status == "error" else None)
 
     def _execute_op(self, item: _Item) -> Any:
         txn = item.txn
@@ -434,9 +455,9 @@ class BatchSubmitter:
         try:
             result = fn(*args)
         except BaseException as error:  # noqa: BLE001 - future-contained
-            item.future.set_exception(error)
+            _finish(item, None, error)
         else:
-            item.future.set_result(result)
+            _finish(item, result, None)
 
     # -- lifecycle ---------------------------------------------------------
 

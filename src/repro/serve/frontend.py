@@ -5,8 +5,11 @@ The split is the classic reactor-vs-CPU-pool design (cf. Tahoe-LAFS
 ``cputhreadpool``): the event loop owns session state machines and never
 touches an engine latch; every lock acquisition, version-stack change,
 commit and fsync happens on the :class:`~repro.serve.batch.BatchSubmitter`
-worker pool, and results travel back as ``concurrent.futures.Future``\\ s
-awaited through :func:`asyncio.wrap_future`.  Because a session awaits
+worker pool.  Results come back in bursts: a worker completes each
+session's item in place, into a per-loop outbox, and only the result that
+finds the outbox empty wakes the loop; one drain on the loop then
+resolves every session future that landed meanwhile.  The loop is woken
+once per burst, not once per awaited result.  Because a session awaits
 each operation before issuing the next, its Transaction handle is only
 ever touched by one pool thread at a time — the same single-caller
 discipline the sync API requires.
@@ -31,12 +34,95 @@ from __future__ import annotations
 
 import asyncio
 import random
+import threading
 import time
-from typing import Any, Callable, Optional
+from concurrent.futures import InvalidStateError
+from typing import Any, Callable, List, Optional
 
 from ..engine.errors import LockTimeout, TransactionAborted
 from ..obs import MetricsRegistry
-from .batch import BatchSubmitter
+from .batch import ABORT, BEGIN, COMMIT, OP, OP_KINDS, BatchSubmitter, _Item
+
+
+class _Landing:
+    """The completion target of one awaited item: a worker's
+    ``set_result`` / ``set_exception`` lands the outcome in the outbox,
+    and the loop's drain hands it to ``waiter``."""
+
+    __slots__ = ("outbox", "waiter", "begin", "landed", "value", "error")
+
+    def __init__(
+        self, outbox: "_Outbox", waiter: asyncio.Future, begin: bool
+    ) -> None:
+        self.outbox = outbox
+        self.waiter = waiter
+        self.begin = begin
+        self.landed = False
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+
+    def done(self) -> bool:
+        return self.landed
+
+    def set_result(self, value: Any) -> None:
+        self.outbox.post(self, value, None)
+
+    def set_exception(self, error: BaseException) -> None:
+        self.outbox.post(self, None, error)
+
+
+class _Outbox:
+    """The results bound for one event loop.  ``lock`` is a leaf: held
+    only to append or swap the list, never while taking the submitter
+    mutex or the engine latch."""
+
+    __slots__ = ("loop", "frontend", "lock", "landed")
+
+    def __init__(
+        self, loop: asyncio.AbstractEventLoop, frontend: "AsyncFrontend"
+    ) -> None:
+        self.loop = loop
+        self.frontend = frontend
+        self.lock = threading.Lock()
+        self.landed: List[_Landing] = []
+
+    def post(
+        self, landing: _Landing, value: Any, error: Optional[BaseException]
+    ) -> None:
+        """Land an outcome (any thread).  Only the post that finds the
+        outbox empty wakes the loop: the drain it schedules takes every
+        post that follows until it runs."""
+        with self.lock:
+            if landing.landed:
+                raise InvalidStateError("result already landed")
+            landing.landed = True
+            landing.value = value
+            landing.error = error
+            self.landed.append(landing)
+            if len(self.landed) > 1:
+                return
+        self.frontend._c_wakeups.inc()
+        try:
+            self.loop.call_soon_threadsafe(self.drain)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is left to await the result
+
+    def drain(self) -> None:
+        """Resolve every landed session future (on the loop)."""
+        with self.lock:
+            landed, self.landed = self.landed, []
+        for landing in landed:
+            waiter = landing.waiter
+            if waiter.done():
+                # Cancelled while in flight.  A begin's transaction has
+                # no holder now, so it is aborted here; any other item's
+                # transaction is still held by its session.
+                if landing.begin and landing.error is None:
+                    self.frontend._abort_orphan(landing.value)
+            elif landing.error is None:
+                waiter.set_result(landing.value)
+            else:
+                waiter.set_exception(landing.error)
 
 
 class Session:
@@ -45,6 +131,13 @@ class Session:
     Also an async context manager: ``async with frontend.session() as s``
     begins on entry, commits on clean exit, aborts (and re-raises) on
     error, a failing commit included — mirroring ``db.transaction()``.
+
+    Cancelling an await does not withdraw what it submitted: the item
+    still runs and its result is dropped.  A ``begin`` cancelled that way
+    leaves the session without its transaction, so the front-end aborts
+    it.  A cancelled op or commit needs no special case: the session
+    still holds its transaction, and ``__aexit__`` / ``run_session``
+    abort it as on any other error (a no-op if the commit went through).
     """
 
     __slots__ = ("_frontend", "_txn", "read_only", "_began_at")
@@ -64,17 +157,17 @@ class Session:
         if self._txn is not None:
             raise RuntimeError("session already began")
         self._began_at = time.perf_counter()
-        self._txn = await asyncio.wrap_future(
-            self._frontend.submitter.submit_begin(self.read_only)
+        self._txn = await self._frontend._submit(
+            BEGIN, read_only=self.read_only
         )
         return self
 
     async def perform(self, kind: str, obj: str, arg: Any = None) -> Any:
         """Submit one data operation (kind in ``serve.batch.OP_KINDS``)."""
         self._require_begun()
-        return await asyncio.wrap_future(
-            self._frontend.submitter.submit_op(self._txn, kind, obj, arg)
-        )
+        if kind not in OP_KINDS:
+            raise ValueError("unknown op kind %r" % (kind,))
+        return await self._frontend._submit(OP, self._txn, kind, obj, arg)
 
     async def read(self, obj: str) -> Any:
         return await self.perform("read", obj)
@@ -96,9 +189,7 @@ class Session:
         on, the group fsync covering it — completes."""
         self._require_begun()
         submitted = time.perf_counter()
-        await asyncio.wrap_future(
-            self._frontend.submitter.submit_commit(self._txn)
-        )
+        await self._frontend._submit(COMMIT, self._txn)
         # Cleared only now: a commit that fails (the WAL rejecting a
         # value, a poisoned fsync) leaves the transaction ACTIVE with its
         # locks held, and abort() needs the handle to release them.
@@ -109,9 +200,7 @@ class Session:
         if self._txn is None:
             return
         try:
-            await asyncio.wrap_future(
-                self._frontend.submitter.submit_abort(self._txn)
-            )
+            await self._frontend._submit(ABORT, self._txn)
         finally:
             self._txn = None
 
@@ -151,7 +240,11 @@ class AsyncFrontend:
         self.submitter = BatchSubmitter(
             db, workers=workers, max_batch=max_batch, metrics=registry
         )
+        # The outbox of the loop that submitted last; a session on
+        # another loop makes that loop's own.
+        self._outbox: Optional[_Outbox] = None
         self._c_sessions = registry.counter("serve_sessions_total")
+        self._c_wakeups = registry.counter("serve_loop_wakeups_total")
         self._h_commit_latency = registry.histogram(
             "serve_session_commit_seconds"
         )
@@ -160,6 +253,36 @@ class AsyncFrontend:
     def session(self, read_only: bool = False) -> Session:
         self._c_sessions.inc()
         return Session(self, read_only=read_only)
+
+    def _submit(
+        self,
+        kind: str,
+        txn: Any = None,
+        op_kind: Optional[str] = None,
+        obj: Optional[str] = None,
+        arg: Any = None,
+        read_only: bool = False,
+    ) -> asyncio.Future:
+        """Submit one item; the returned future (of the running loop)
+        resolves when the loop drains its outcome."""
+        loop = asyncio.get_running_loop()
+        outbox = self._outbox
+        if outbox is None or outbox.loop is not loop:
+            outbox = self._outbox = _Outbox(loop, self)
+        waiter = loop.create_future()
+        landing = _Landing(outbox, waiter, kind == BEGIN)
+        self.submitter._submit(
+            _Item(kind, txn, op_kind, obj, arg, read_only, landing)
+        )
+        return waiter
+
+    def _abort_orphan(self, txn: Any) -> None:
+        """Abort a transaction begun for a session that stopped waiting."""
+        try:
+            self.submitter.submit_abort(txn)
+        except RuntimeError:
+            # Closing: the pool may already be gone.
+            txn.abort()
 
     async def run_session(
         self,

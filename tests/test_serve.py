@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
 import threading
 import time
 
@@ -276,6 +277,58 @@ def test_ten_thousand_held_sessions_commit_certified():
     assert counters["serve_batches_total"] < counters["serve_ops_total"]
 
 
+def test_results_reach_the_loop_in_bursts():
+    # Workers land results in the loop's outbox and only the one that
+    # finds it empty wakes the loop, so 512 concurrent sessions cost far
+    # fewer wake-ups than the results they await.  More workers than
+    # cores and a short switch interval stress the hand-off: a result
+    # lost between a post and the drain would hang a session.
+    sessions = 512
+    db = NestedTransactionDB(
+        {"o%d" % i: 0 for i in range(sessions)}, config=EngineConfig()
+    )
+    registry = MetricsRegistry(enabled=True)
+
+    async def main():
+        async with AsyncFrontend(db, workers=4, metrics=registry) as frontend:
+            async def one(i):
+                async with frontend.session() as s:
+                    await s.increment("o%d" % i, 1)
+
+            await asyncio.wait_for(
+                asyncio.gather(*[one(i) for i in range(sessions)]), 60
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run(main())
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(db.snapshot().values()) == sessions
+    db.assert_quiescent()
+    wakeups = registry.snapshot()["counters"]["serve_loop_wakeups_total"]
+    # Each session awaited three results: its begin, op and commit.
+    assert 0 < wakeups < 3 * sessions
+
+
+def test_session_cancelled_during_begin_leaks_no_transaction():
+    db = make_db()
+
+    async def main():
+        frontend = AsyncFrontend(db, workers=1)
+        task = asyncio.ensure_future(frontend.session().begin())
+        await asyncio.sleep(0)  # the begin is submitted; cancel it in flight
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        await frontend.aclose()
+
+    run(main())
+    # Nobody holds the transaction that begin made: it was aborted.
+    db.assert_quiescent()
+
+
 # -- the submitter's park/retry path ----------------------------------------
 
 
@@ -478,6 +531,46 @@ def test_errors_stay_contained_in_their_future():
     finally:
         sub.close(timeout=5)
     assert db.read_committed("y") == 3
+
+
+def test_cancelled_future_does_not_poison_its_batch(monkeypatch):
+    # Five commits queue into one chunk behind a worker held inside a
+    # first commit_batch, and the first of them is cancelled.  All five
+    # still commit; the other four must report it, not the refusal of
+    # the cancelled future (a client retrying on error would apply its
+    # writes twice).
+    db = NestedTransactionDB(
+        {"o%d" % i: 0 for i in range(6)}, config=EngineConfig()
+    )
+    entered = threading.Event()
+    release = threading.Event()
+    commit_batch = db.commit_batch
+
+    def held_first(txns):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=10)
+        return commit_batch(txns)
+
+    monkeypatch.setattr(db, "commit_batch", held_first)
+    sub = BatchSubmitter(db, workers=1)
+    try:
+        txns = [sub.submit_begin().result(timeout=5) for _ in range(6)]
+        for i, txn in enumerate(txns):
+            sub.submit_op(txn, "write", "o%d" % i, 1).result(timeout=5)
+        first = sub.submit_commit(txns[0])
+        assert entered.wait(timeout=5)
+        queued = [sub.submit_commit(txn) for txn in txns[1:]]
+        assert queued[0].cancel()
+        release.set()
+        assert first.result(timeout=5) is None
+        for future in queued[1:]:
+            assert future.result(timeout=5) is None
+    finally:
+        release.set()
+        sub.close(timeout=5)
+    assert [db.read_committed("o%d" % i) for i in range(6)] == [1] * 6
+    db.assert_quiescent()
 
 
 class _PlainBackend:
