@@ -41,6 +41,18 @@ reach the loop in bursts, not one thread hand-off per awaited result::
 
     PYTHONPATH=src python scripts/profile_hotpath.py --served --count-only
 
+``--cluster`` runs the spine's ``cluster_transfer`` shape — transfers
+(two read-modify-writes) on an uncertified 2-shard ``Cluster`` with
+shard WALs — from one client, profiles the coordinator, and prints the
+wire round trips per committed transaction, split into single-site
+transfers (two ops and a delegated commit: 3) and cross-site ones (two
+ops, then prepare and commit on each site: 6).  A branch begins with its
+transaction's first op on a site, so no round trip is spent on a begin.
+``--cluster --count-only`` exits non-zero unless the counts are exactly
+3 and 6::
+
+    PYTHONPATH=src python scripts/profile_hotpath.py --cluster --count-only
+
 Findings are stable across runs because the workload is deterministic
 (seeded RNG, fixed object pool).  The engine is keyed by path tuples, so
 the remaining profile is the skeleton — latch acquire/release
@@ -313,6 +325,89 @@ def report_served(txns: int, wakeups: int, cpu: Dict[str, float]) -> float:
     return per_txn
 
 
+#: The cluster shape: shards and store size of the spine's
+#: ``cluster_transfer`` cell, and the round trips one committed transfer
+#: costs in each of its two shapes.
+CLUSTER_SHARDS = 2
+CLUSTER_OBJECTS = 8192
+CLUSTER_ROUND_TRIPS = {"single-site": 3, "cross-site": 6}
+
+
+def run_cluster(
+    txns: int, seed: int = 42, profiler: Optional[cProfile.Profile] = None
+) -> Dict[str, List[float]]:
+    """Run ``txns`` transfers one at a time on an uncertified
+    ``CLUSTER_SHARDS``-shard cluster with shard WALs; with ``profiler``
+    given, profile the coordinator's side of each transaction.  Returns,
+    per transfer shape, [committed, round trips, wall seconds]."""
+    from repro.cluster import Cluster
+
+    names = ["x%d" % i for i in range(CLUSTER_OBJECTS)]
+    rng = random.Random(seed)
+    programs = [
+        (*rng.sample(names, 2), rng.randint(1, 9)) for _ in range(txns)
+    ]
+    totals: Dict[str, List[float]] = {
+        shape: [0, 0, 0.0] for shape in CLUSTER_ROUND_TRIPS
+    }
+    cluster = Cluster(
+        {name: 1000 for name in names}, shards=CLUSTER_SHARDS, certified=False
+    )
+    try:
+        exchanges = cluster.protocol.site_exchanges
+        for a, b, amount in programs:
+            same = cluster.map.home(a) == cluster.map.home(b)
+            row = totals["single-site" if same else "cross-site"]
+            before = sum(exchanges().values())
+            started = time.perf_counter()
+            if profiler is not None:
+                profiler.enable()
+            cluster.run(lambda t: (t.rmw(a, -amount), t.rmw(b, amount)))
+            if profiler is not None:
+                profiler.disable()
+            row[2] += time.perf_counter() - started
+            row[0] += 1
+            row[1] += sum(exchanges().values()) - before
+        values, coherent, mismatches = cluster.logical_snapshot()
+        if not coherent or sum(values.values()) != 1000 * len(names):
+            raise RuntimeError("transfers did not conserve: %s" % mismatches)
+    finally:
+        cluster.close()
+    return totals
+
+
+def report_cluster(totals: Dict[str, List[float]]) -> bool:
+    """Print round trips and wall time per committed transfer of each
+    shape; returns whether every round-trip count is as expected."""
+    print(
+        "cluster: %d shards, uncertified, shard WALs, one client"
+        % CLUSTER_SHARDS
+    )
+    exact = True
+    for shape, (committed, trips, seconds) in totals.items():
+        per_txn = trips / committed if committed else 0.0
+        exact = exact and committed > 0 and per_txn == CLUSTER_ROUND_TRIPS[shape]
+        print(
+            "  %-12s %6d committed  %.2f round trips/txn (expect %d)  "
+            "%8.1f us/txn"
+            % (shape, committed, per_txn, CLUSTER_ROUND_TRIPS[shape],
+               seconds / committed * 1e6 if committed else 0.0)
+        )
+    return exact
+
+
+def print_profile(args, title: str, *profilers: cProfile.Profile) -> None:
+    """Print ``title`` and the merged profiles, sorted and cut as asked;
+    with ``--out``, also save the raw stats."""
+    stats = pstats.Stats(*profilers, stream=sys.stdout)
+    stats.strip_dirs().sort_stats(args.sort)
+    print(title)
+    stats.print_stats(args.lines)
+    if args.out:
+        stats.dump_stats(args.out)
+        print("raw stats written to %s" % args.out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--txns", type=int, default=2000)
@@ -343,12 +438,22 @@ def main(argv=None) -> int:
         "and loop wake-ups per txn (ignores --ops/--objects/--no-trace)"
         % SERVED_SESSIONS,
     )
+    shape.add_argument(
+        "--cluster",
+        action="store_true",
+        help="transfers on an uncertified %d-shard cluster with shard WALs "
+        "from one client; profiles the coordinator and prints wire round "
+        "trips per committed txn (ignores --ops/--objects/--no-trace)"
+        % CLUSTER_SHARDS,
+    )
     parser.add_argument(
         "--count-only",
         action="store_true",
         help="with --nested/--certified: print the counts and skip the "
         "profile; exit 1 unless every count is zero.  With --served: exit "
-        "1 unless loop wake-ups per committed txn are below 1",
+        "1 unless loop wake-ups per committed txn are below 1.  With --cluster: "
+        "exit 1 unless round trips per committed txn are exactly 3 "
+        "(single-site) and 6 (cross-site)",
     )
     parser.add_argument(
         "--sort",
@@ -361,8 +466,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     spine_shape = args.nested or args.certified
-    if args.count_only and not (spine_shape or args.served):
-        parser.error("--count-only needs --nested, --certified or --served")
+    if args.count_only and not (spine_shape or args.served or args.cluster):
+        parser.error(
+            "--count-only needs --nested, --certified, --served or --cluster"
+        )
 
     import repro.engine  # noqa: F401 - import cost outside the profile
 
@@ -380,16 +487,26 @@ def main(argv=None) -> int:
                 )
                 return 1
             return 0
-        stats = pstats.Stats(*profilers, stream=sys.stdout)
-        stats.strip_dirs().sort_stats(args.sort)
-        print(
+        print_profile(
+            args,
             "served profile, all %d threads: %d txns (the per-thread CPU "
-            "above is from the same, profiled, run)" % (len(profilers), args.txns)
+            "above is from the same, profiled, run)" % (len(profilers), args.txns),
+            *profilers,
         )
-        stats.print_stats(args.lines)
-        if args.out:
-            stats.dump_stats(args.out)
-            print("raw stats written to %s" % args.out)
+        return 0
+
+    if args.cluster:
+        profiler = None if args.count_only else cProfile.Profile()
+        exact = report_cluster(run_cluster(args.txns, profiler=profiler))
+        if args.count_only:
+            if not exact:
+                print("FAIL: round trips per transaction are not 3 / 6")
+                return 1
+            return 0
+        print_profile(
+            args, "cluster coordinator profile: %d transfers" % args.txns,
+            profiler,
+        )
         return 0
 
     if spine_shape:
@@ -413,22 +530,15 @@ def main(argv=None) -> int:
         run_workload(args.txns, args.ops, args.objects, not args.no_trace)
     profiler.disable()
 
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort)
     if spine_shape:
-        print(
-            "%s hot path profile: %d nested txns, %d objects"
-            % ("certified" if args.certified else "bare", args.txns, args.objects)
+        title = "%s hot path profile: %d nested txns, %d objects" % (
+            "certified" if args.certified else "bare", args.txns, args.objects
         )
     else:
-        print(
-            "hot path profile: %d txns x %d ops, trace=%s"
-            % (args.txns, args.ops, not args.no_trace)
+        title = "hot path profile: %d txns x %d ops, trace=%s" % (
+            args.txns, args.ops, not args.no_trace
         )
-    stats.print_stats(args.lines)
-    if args.out:
-        stats.dump_stats(args.out)
-        print("raw stats written to %s" % args.out)
+    print_profile(args, title, profiler)
     return 0
 
 

@@ -5,7 +5,10 @@ shard-local top-level transaction, remapped to the child ``G.<site>`` in
 the merged trace) and commits with two-phase commit layered on the
 paper's Send/Receive vocabulary: every frame the coordinator exchanges
 with a shard is accounted as a Section 9 message event (see
-:class:`~repro.cluster.wire.ProtocolLog`).
+:class:`~repro.cluster.wire.ProtocolLog`).  As in the paper's algebra,
+creating a branch sends no message of its own: the shard begins it with
+``G``'s first op there and names it in that op's reply.  Each 2PC round
+(prepare, commit, abort) goes to every participant at once.
 
 Failure model (available copies):
 
@@ -49,7 +52,7 @@ from ..obs import MetricsRegistry
 from .merge import TraceMerger
 from .routing import ClusterMap
 from .shard import read_port, spawn_shard
-from .wire import Channel, ProtocolLog, WireClosed, summary_for
+from .wire import Channel, ProtocolLog, WireClosed, exchange, summary_for
 
 
 class ClusterError(Exception):
@@ -347,7 +350,9 @@ class Cluster:
         return GlobalTxn(self, name)
 
     def run(self, fn, max_retries: int = 25):
-        """Run ``fn(txn)`` with commit, retrying retryable failures."""
+        """Run ``fn(txn)`` with commit, retrying retryable failures.  Any
+        other exception aborts the transaction (releasing its branches'
+        locks) and propagates."""
         for attempt in range(max_retries):
             txn = self.begin()
             try:
@@ -359,6 +364,9 @@ class Cluster:
             except SiteUnavailable:
                 txn.abort_quietly()
                 time.sleep(min(0.5, 0.05 * (attempt + 1)))
+            except BaseException:
+                txn.abort_quietly()
+                raise
         raise ClusterAborted("transaction kept aborting after %d attempts"
                              % max_retries)
 
@@ -470,10 +478,12 @@ class _BranchState:
     __slots__ = ("site", "epoch", "path", "performs", "effects",
                  "counter", "dead", "watermark")
 
-    def __init__(self, site: int, epoch: int, path: Tuple[Any, ...]) -> None:
+    def __init__(self, site: int, epoch: int) -> None:
         self.site = site
         self.epoch = epoch
-        self.path = path
+        # The shard begins the branch with its first op and names it in
+        # the reply; until then there is nothing on the site to address.
+        self.path: Optional[Tuple[Any, ...]] = None
         self.performs: List[Dict[str, Any]] = []
         self.effects: List[Tuple[str, str, Any]] = []
         self.counter = 0
@@ -521,10 +531,13 @@ class GlobalTxn:
 
     def _request(self, branch: _BranchState, payload: Dict[str, Any],
                  status: str = ACTIVE) -> Dict[str, Any]:
+        """One round trip on ``branch``'s site; the first one begins the
+        branch there (the frame names no branch, the reply does)."""
         site = self._site(branch.site)
         if not site.up or site.epoch != branch.epoch:
             raise SiteUnavailable("site %d is gone" % branch.site)
-        payload = dict(payload, branch=list(branch.path))
+        if branch.path is not None:
+            payload["branch"] = list(branch.path)
         try:
             reply = self._channel(site).request(payload)
         except WireClosed:
@@ -534,7 +547,37 @@ class GlobalTxn:
         self.cluster.protocol.log_exchange(
             branch.site, summary_for(self.name.child(branch.site), status)
         )
+        if branch.path is None:
+            branch.path = tuple(reply["branch"])
+            if self.cluster.merger is not None:
+                self.cluster.merger.register_branch(
+                    branch.site, branch.path, self.name
+                )
         return reply
+
+    def _exchange(self, branches: List[_BranchState], op: str,
+                  status: str) -> List[Optional[Dict[str, Any]]]:
+        """Send ``op`` to every branch at once (see :func:`.wire.exchange`);
+        one reply per branch, ``None`` where its site is gone."""
+        cluster = self.cluster
+        targets = []
+        requests = []
+        for branch in branches:
+            site = self._site(branch.site)
+            if site.up and site.epoch == branch.epoch:
+                targets.append((branch, site))
+                requests.append((self._channel(site),
+                                 {"op": op, "branch": list(branch.path)}))
+        replies: Dict[int, Dict[str, Any]] = {}
+        for (branch, site), reply in zip(targets, exchange(requests)):
+            if isinstance(reply, WireClosed):
+                cluster._site_down(site, branch.epoch)
+                continue
+            cluster.protocol.log_exchange(
+                branch.site, summary_for(self.name.child(branch.site), status)
+            )
+            replies[branch.site] = reply
+        return [replies.get(branch.site) for branch in branches]
 
     def _branch(self, index: int) -> _BranchState:
         branch = self.branches.get(index)
@@ -546,19 +589,7 @@ class GlobalTxn:
         site = self._site(index)
         if not site.up:
             raise SiteUnavailable("site %d is down" % index)
-        epoch = site.epoch
-        try:
-            reply = self._channel(site).request({"op": "begin"})
-        except WireClosed:
-            self.cluster._site_down(site, epoch)
-            raise SiteUnavailable("site %d died at begin" % index) from None
-        self.cluster.protocol.log_exchange(
-            index, summary_for(self.name.child(index), ACTIVE)
-        )
-        branch = _BranchState(index, epoch, tuple(reply["branch"]))
-        self.branches[index] = branch
-        if self.cluster.merger is not None:
-            self.cluster.merger.register_branch(index, branch.path, self.name)
+        branch = self.branches[index] = _BranchState(index, site.epoch)
         return branch
 
     def _check(self, branch: _BranchState, reply: Dict[str, Any]) -> Dict:
@@ -679,11 +710,10 @@ class GlobalTxn:
     # -- lifecycle ------------------------------------------------------------
 
     def _decide_waits(self):
-        waits = []
-        for branch in self.branches.values():
-            waits.append((branch.site, branch.path, branch.watermark,
-                          branch.performs))
-        return waits
+        return [
+            (branch.site, branch.path, branch.watermark, branch.performs)
+            for branch in self.branches.values() if branch.path is not None
+        ]
 
     def commit(self) -> None:
         try:
@@ -697,6 +727,13 @@ class GlobalTxn:
             raise ClusterError("transaction already finished")
         cluster = self.cluster
         merger = cluster.merger
+        unbegun = [b.site for b in self.branches.values() if b.path is None]
+        if unbegun:
+            # A first op whose reply never came: that site may have lost
+            # an op of this transaction, so it must not commit.
+            self.abort()
+            raise ClusterAborted("site %d died under the transaction's "
+                                 "first op there" % unbegun[0])
         live = [b for b in self.branches.values() if not b.dead]
         if not live:
             self.finished = True
@@ -741,14 +778,15 @@ class GlobalTxn:
             return
 
         # Phase 1: every branch must vote yes while still holding locks.
-        for branch in sorted(live, key=lambda b: b.site):
-            try:
-                reply = self._request(branch, {"op": "prepare"})
-            except SiteUnavailable:
+        # Each round goes to every participant at once.
+        live.sort(key=lambda b: b.site)
+        for branch, reply in zip(live, self._exchange(live, "prepare",
+                                                      ACTIVE)):
+            if reply is None:
                 self.abort()
                 raise ClusterAborted(
                     "site %d died before voting" % branch.site
-                ) from None
+                )
             if not (reply.get("ok") and reply.get("vote")):
                 self.abort()
                 raise ClusterAborted(
@@ -759,12 +797,9 @@ class GlobalTxn:
         # participant failures become in-doubt branches, not aborts.
         waits = []
         in_doubt = []
-        for branch in sorted(live, key=lambda b: b.site):
-            try:
-                reply = self._request(
-                    branch, {"op": "commit"}, status=COMMITTED
-                )
-            except SiteUnavailable:
+        for branch, reply in zip(live, self._exchange(live, "commit",
+                                                      COMMITTED)):
+            if reply is None:
                 cluster._register_in_doubt(branch.site, _InDoubt(
                     self.name, branch.path, branch.performs, "commit",
                     branch.effects,
@@ -791,23 +826,15 @@ class GlobalTxn:
             return
         self.finished = True
         cluster = self.cluster
-        for branch in self.branches.values():
-            if branch.dead:
-                continue
-            site = self._site(branch.site)
-            if not site.up or site.epoch != branch.epoch:
-                continue
-            try:
-                payload = dict({"op": "abort"}, branch=list(branch.path))
-                reply = self._channel(site).request(payload)
-                cluster.protocol.log_exchange(
-                    branch.site,
-                    summary_for(self.name.child(branch.site), ABORTED),
-                )
-                if reply.get("ok"):
-                    branch.watermark = reply.get("watermark")
-            except WireClosed:
-                cluster._site_down(site, branch.epoch)
+        targets = sorted(
+            (b for b in self.branches.values()
+             if not b.dead and b.path is not None),
+            key=lambda b: b.site,
+        )
+        for branch, reply in zip(targets, self._exchange(targets, "abort",
+                                                         ABORTED)):
+            if reply is not None and reply.get("ok"):
+                branch.watermark = reply.get("watermark")
         self._close_channels()
         if cluster.merger is not None:
             cluster.merger.decide(self.name, "abort",

@@ -8,10 +8,11 @@ durability is on, so a revived site recovers its committed state through
 :class:`~repro.durability.recovery.RecoveryManager` before serving — and
 then speaks the length-prefixed frame protocol of :mod:`.wire`:
 
-* **session ops** (``begin``/``read``/``write``/``delta``/``prepare``/
-  ``commit``/``abort``) run shard-local *branch* transactions.  A branch
-  is a shard top-level held open (locks held = prepared) until the
-  coordinator's 2PC decision arrives.
+* **session ops** (``read``/``write``/``delta``/``prepare``/``commit``/
+  ``abort``) run shard-local *branch* transactions.  A branch is a shard
+  top-level held open (locks held = prepared) until the coordinator's
+  2PC decision arrives.  There is no ``begin`` op: a frame that names no
+  ``branch`` begins one, runs its op in it, and the reply names it.
 * **admin ops** (``hello``/``pull``/``snapshot``/``stats``/
   ``shutdown``).  ``hello`` reports the branch transactions whose
   commits survived in the WAL — the coordinator resolves in-doubt 2PC
@@ -141,16 +142,28 @@ class ShardServer:
     # -- session op handlers --------------------------------------------------
 
     def _handle_session(self, message: Dict[str, Any], branches: Dict) -> Dict:
-        op = message["op"]
-        if op == "begin":
-            txn = self.db.begin_transaction()
-            branches[txn.key] = txn
-            return {"ok": True, "branch": list(txn.key)}
+        path = message.get("branch")
+        if path is not None:
+            branch = tuple(path)
+            txn = branches.get(branch)
+            if txn is None:
+                return {
+                    "ok": False, "error": "unknown-branch", "retryable": False,
+                }
+            return self._run_op(message, branch, txn, branches)
+        # Implicit begin: a transaction's first frame to this site names
+        # no branch.  Every reply to it names the branch it began, failed
+        # ones too, so the coordinator can still abort it.
+        txn = self.db.begin_transaction()
+        branch = txn.key
+        branches[branch] = txn
+        reply = self._run_op(message, branch, txn, branches)
+        reply["branch"] = list(branch)
+        return reply
 
-        branch = tuple(message["branch"])
-        txn = branches.get(branch)
-        if txn is None:
-            return {"ok": False, "error": "unknown-branch", "retryable": False}
+    def _run_op(self, message: Dict[str, Any], branch: tuple, txn: Any,
+                branches: Dict) -> Dict:
+        op = message["op"]
         try:
             if op == "read":
                 if message.get("for_update"):
@@ -259,8 +272,7 @@ class ShardServer:
                 except (ConnectionError, OSError, ValueError):
                     break
                 if message["op"] in (
-                    "begin", "read", "write", "delta",
-                    "prepare", "commit", "abort",
+                    "read", "write", "delta", "prepare", "commit", "abort",
                 ):
                     reply = self._handle_session(message, branches)
                 else:

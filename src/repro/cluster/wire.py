@@ -15,7 +15,8 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional
+from contextlib import ExitStack
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.events import Event, Receive, Send
 from ..core.summary import ActionSummary
@@ -66,18 +67,48 @@ class Channel:
         self._lock = threading.Lock()
 
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            try:
-                send_frame(self.sock, payload)
-                return recv_frame(self.sock)
-            except (OSError, ValueError) as error:
-                raise WireClosed(str(error)) from error
+        (reply,) = exchange([(self, payload)])
+        if isinstance(reply, WireClosed):
+            raise reply
+        return reply
 
     def close(self) -> None:
         try:
             self.sock.close()
         except OSError:
             pass
+
+
+def exchange(
+    requests: Sequence[Tuple[Channel, Dict[str, Any]]],
+) -> List[Union[Dict[str, Any], WireClosed]]:
+    """One frame to each channel at once: a reply (or the
+    :class:`WireClosed` met instead) per request, in request order.
+
+    Every frame is sent before any reply is read, so the peers work on
+    their frames concurrently.  The channel locks are taken in request
+    order (callers pass site order, so two fan-outs cannot deadlock),
+    and every sent frame's reply is read before the locks are released:
+    a dead peer costs its own slot, never leaves another channel holding
+    an unread reply."""
+    results: List[Any] = []
+    with ExitStack() as held:
+        for channel, _payload in requests:
+            held.enter_context(channel._lock)
+        for channel, payload in requests:
+            try:
+                send_frame(channel.sock, payload)
+                results.append(None)  # sent: its reply is owed
+            except (OSError, ValueError) as error:
+                results.append(WireClosed(str(error)))
+        for slot, (channel, _payload) in enumerate(requests):
+            if results[slot] is not None:
+                continue
+            try:
+                results[slot] = recv_frame(channel.sock)
+            except (OSError, ValueError) as error:
+                results[slot] = WireClosed(str(error))
+    return results
 
 
 class ProtocolLog:

@@ -6,20 +6,25 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from repro.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL
 from repro.cluster import (
+    Cluster,
+    ClusterAborted,
     ClusterMap,
     ProtocolLog,
+    SiteUnavailable,
     TraceMerger,
     WireClosed,
     recv_frame,
     run_cluster_scenario,
     send_frame,
 )
-from repro.cluster.wire import summary_for
+from repro.cluster.wire import Channel, exchange, summary_for
 from repro.core.naming import U
 from repro.scenarios.chaos import SiteEvent, SiteSchedule
 
@@ -71,6 +76,68 @@ class TestWire:
             summary_for(U.child(1), "active")
         )
 
+    @staticmethod
+    def _channel_pair(listener):
+        channel = Channel("127.0.0.1", listener.getsockname()[1])
+        peer, _ = listener.accept()
+        return channel, peer
+
+    def test_exchange_sends_every_frame_before_reading(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        a, peer_a = self._channel_pair(listener)
+        b, peer_b = self._channel_pair(listener)
+        b_has_frame = threading.Event()
+
+        def serve_a():
+            recv_frame(peer_a)
+            # A answers only once B holds its frame: a fan-out that read
+            # A's reply before sending to B would stall here.
+            send_frame(peer_a, {"ordered": b_has_frame.wait(timeout=5)})
+
+        def serve_b():
+            recv_frame(peer_b)
+            b_has_frame.set()
+            send_frame(peer_b, {"ok": True})
+
+        servers = [threading.Thread(target=serve_a),
+                   threading.Thread(target=serve_b)]
+        try:
+            for server in servers:
+                server.start()
+            replies = exchange([(a, {"op": "prepare"}),
+                                (b, {"op": "prepare"})])
+            assert replies == [{"ordered": True}, {"ok": True}]
+        finally:
+            for server in servers:
+                server.join(timeout=10)
+            for sock in (peer_a, peer_b, listener):
+                sock.close()
+            a.close()
+            b.close()
+        assert not any(server.is_alive() for server in servers)
+
+    def test_exchange_drains_every_reply(self):
+        """A dead peer costs only its own slot: the live channel's reply
+        is read, so its next request gets its own answer."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        live, live_peer = self._channel_pair(listener)
+        dead, dead_peer = self._channel_pair(listener)
+        try:
+            dead_peer.close()
+            send_frame(live_peer, {"ok": True, "n": 1})
+            replies = exchange([(live, {"op": "prepare"}),
+                                (dead, {"op": "prepare"})])
+            assert recv_frame(live_peer) == {"op": "prepare"}
+            assert replies[0] == {"ok": True, "n": 1}
+            assert isinstance(replies[1], WireClosed)
+            send_frame(live_peer, {"ok": True, "n": 2})
+            assert live.request({"op": "commit"}) == {"ok": True, "n": 2}
+        finally:
+            for sock in (live_peer, dead_peer, listener):
+                sock.close()
+            live.close()
+            dead.close()
+
 
 class TestRouting:
     def test_home_is_deterministic_and_in_range(self):
@@ -111,6 +178,26 @@ class TestTraceMerger:
         merger.push(0, _rec("perform", [1], 1, access=[1, "w0"], obj="x",
                             kind="write", seen=0, arg=5))
         merger.push(0, _rec("create", [1], 0))
+        merger.push(0, _rec("commit", [1], 2))
+        merger.decide(g, "commit", waits=[(0, [1], 2)])
+        report = merger.finish()
+        assert report.ok and report.unresolved == 0
+        assert [r.op for r in merger.records] == [
+            "create", "create", "perform", "commit", "commit",
+        ]
+
+    def test_records_before_registration_are_held(self):
+        """A branch is registered when its first op's reply arrives, and
+        its records may be pulled before that: they wait, then merge."""
+        merger = TraceMerger({"x@0": 0})
+        merger.register_site(0)
+        g = U.child(0)
+        merger.begin_global(g)
+        merger.push(0, _rec("create", [1], 0))
+        merger.push(0, _rec("perform", [1], 1, access=[1, "w0"], obj="x",
+                            kind="write", seen=0, arg=5))
+        assert len(merger.records) == 1  # only G's create
+        merger.register_branch(0, [1], g)
         merger.push(0, _rec("commit", [1], 2))
         merger.decide(g, "commit", waits=[(0, [1], 2)])
         report = merger.finish()
@@ -225,6 +312,127 @@ class TestClusterEndToEnd:
         assert result.replicas_coherent
         assert result.committed > 0
         assert result.ok
+
+
+def _homes(cluster):
+    """Objects of each site, in name order."""
+    homes = {}
+    for obj in sorted(cluster.initial):
+        homes.setdefault(cluster.map.home(obj), []).append(obj)
+    return homes
+
+
+@pytest.fixture
+def fleet():
+    cluster = Cluster(
+        {"x%d" % i: 100 for i in range(32)}, shards=2, durability=False,
+        certified=False, lock_timeout=0.3,
+    )
+    try:
+        yield cluster
+    finally:
+        cluster.close()
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.crash
+class TestProtocolShape:
+    """Round trips of the wire protocol: a branch begins with its
+    transaction's first op on the site, and the 2PC rounds fan out."""
+
+    def test_round_trips_per_transfer(self, fleet):
+        homes = _homes(fleet)
+        a, b = homes[0][:2]
+        c = homes[1][0]
+
+        def trips(body):
+            before = sum(fleet.protocol.site_exchanges().values())
+            fleet.run(body, max_retries=1)
+            return sum(fleet.protocol.site_exchanges().values()) - before
+
+        # Two ops + the delegated commit.
+        assert trips(lambda t: (t.rmw(a, -1), t.rmw(b, 1))) == 3
+        # Two ops + prepare and commit on each site.
+        assert trips(lambda t: (t.rmw(a, -1), t.rmw(c, 1))) == 6
+        assert fleet.protocol.site_exchanges() == {0: 6, 1: 3}
+
+    def test_first_op_timeout_still_names_its_branch(self, fleet):
+        a = _homes(fleet)[0][0]
+        holder = fleet.begin()
+        holder.rmw(a, -1)
+        aborted_before = fleet.stats()["sites"][0]["aborted"]
+        blocked = fleet.begin()
+        with pytest.raises(ClusterAborted):
+            blocked.rmw(a, 1)  # waits out the lock timeout
+        # The timed-out reply named the branch it began, and the
+        # coordinator aborted that branch on the shard.
+        assert blocked.branches[0].path is not None
+        assert blocked.finished
+        assert fleet.stats()["sites"][0]["aborted"] == aborted_before + 1
+        holder.commit()
+        started = time.monotonic()
+        fleet.run(lambda t: t.rmw(a, 1), max_retries=1)
+        assert time.monotonic() - started < fleet.lock_timeout
+        assert fleet.site_snapshot(0)[a] == 100
+
+    def test_site_killed_before_commit_aborts_and_drains(self, fleet):
+        homes = _homes(fleet)
+        a, c = homes[0][0], homes[1][0]
+        txn = fleet.begin()
+        txn.rmw(a, -1)
+        txn.rmw(c, 1)
+        # Killed behind the coordinator's back: the prepare fan-out is
+        # the first to find out.
+        fleet.sites[1].proc.kill()
+        fleet.sites[1].proc.wait()
+        with pytest.raises(ClusterAborted):
+            txn.commit()
+        assert not fleet.sites[1].up
+        # Same thread, same channel to site 0: had the fan-out left a
+        # reply unread there, this transaction would read it as its own.
+        fleet.run(lambda t: t.rmw(a, 5), max_retries=1)
+        assert fleet.site_snapshot(0)[a] == 105
+
+    def test_first_op_lost_with_its_site_aborts_the_commit(self, fleet):
+        homes = _homes(fleet)
+        a, c = homes[0][0], homes[1][0]
+        fleet.run(lambda t: t.read(c), max_retries=1)  # opens the channel
+        fleet.sites[1].proc.kill()
+        fleet.sites[1].proc.wait()
+        txn = fleet.begin()
+        txn.rmw(a, -1)
+        with pytest.raises(SiteUnavailable):
+            txn.rmw(c, 1)  # begins nothing: no reply names a branch
+        assert txn.branches[1].path is None
+        with pytest.raises(ClusterAborted):
+            txn.commit()
+        assert fleet.site_snapshot(0)[a] == 100
+
+    def test_body_exception_releases_branch_locks(self, fleet):
+        a = _homes(fleet)[0][0]
+
+        def raises(txn):
+            txn.rmw(a, -1)
+            raise _Boom()
+
+        with pytest.raises(_Boom):
+            fleet.run(raises)
+        # The raising body's branch was aborted, so its lock is free.
+        fleet.run(lambda t: t.rmw(a, 1), max_retries=3)
+        assert fleet.site_snapshot(0)[a] == 101
+
+        def commits_then_raises(txn):
+            txn.rmw(a, 10)
+            txn.commit()
+            raise _Boom()
+
+        # Aborting a finished transaction is a no-op.
+        with pytest.raises(_Boom):
+            fleet.run(commits_then_raises)
+        assert fleet.site_snapshot(0)[a] == 111
 
 
 class TestExitCodes:
