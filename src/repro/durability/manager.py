@@ -6,7 +6,9 @@ checkpoint files) and exposes exactly the four calls the engine needs:
 * :meth:`recover` — at construction of a ``NestedTransactionDB``, rebuild
   the committed values the store should start from;
 * :meth:`log_commit` — inside the engine's top-level commit critical
-  section, append the redo batch (buffered, never blocks on disk);
+  section, append the redo batch (buffered, never blocks on disk; the
+  engine queues the ``wal_commit_logged`` event itself, for delivery
+  after its latch);
 * :meth:`sync` — after the engine latch is released, make the batch
   durable per the sync policy (this is where fsync/group-commit happens);
 * :meth:`checkpoint` — fuzzy-snapshot the committed store and truncate
@@ -14,7 +16,7 @@ checkpoint files) and exposes exactly the four calls the engine needs:
 
 All observability flows through ``repro.obs``: WAL/checkpoint/recovery
 metrics land in the engine's :class:`~repro.obs.MetricsRegistry` and
-typed events (``wal_commit_logged``, ``wal_synced``, ``checkpoint_taken``,
+typed events (``wal_synced``, ``checkpoint_taken``,
 ``recovery_completed``) go out on the engine's event bus once
 :meth:`bind` is called — the engine does this automatically.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.naming import ActionName
 from ..obs import (
@@ -32,7 +34,6 @@ from ..obs import (
     EventBus,
     MetricsRegistry,
     RecoveryCompleted,
-    WalCommitLogged,
     WalSynced,
 )
 from .checkpoint import CheckpointData, Checkpointer
@@ -147,13 +148,15 @@ class DurabilityManager:
 
     def log_commit(
         self,
-        txn: ActionName,
+        txn: Union[Tuple[Any, ...], ActionName],
         writes: Mapping[str, Any],
         deltas: Optional[Mapping[str, Any]] = None,
     ) -> int:
         """Append one top-level commit's redo batch (absolute writes plus
-        blind-increment deltas); returns its LSN.  Safe inside engine
-        latches (buffered write, leaf locks only)."""
+        blind-increment deltas) for the transaction at path ``txn`` (an
+        ``ActionName`` is accepted too); returns its LSN.  Safe inside
+        engine latches (buffered write, leaf locks only) — and silent:
+        it emits no event, so nothing is delivered under the latch."""
         wal = self._require_wal()
         started = time.monotonic() if self._metrics.enabled else None
         before = wal.appended_bytes
@@ -164,8 +167,6 @@ class DurabilityManager:
             self._c_commits.inc()
             self._c_records.inc(count + 1)
             self._c_bytes.inc(wal.appended_bytes - before)
-        if self._events.enabled:
-            self._events.emit(WalCommitLogged(txn, lsn, count))
         return lsn
 
     def sync(self, lsn: int) -> None:

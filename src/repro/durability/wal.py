@@ -54,7 +54,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..core.naming import ActionName
 
@@ -379,15 +379,16 @@ class WriteAheadLog:
 
     def append_commit(
         self,
-        txn: ActionName,
+        txn: Union[Tuple[Any, ...], ActionName],
         writes: Mapping[str, Any],
         deltas: Optional[Mapping[str, Any]] = None,
     ) -> int:
         """Append one top-level commit batch — absolute write values plus
-        blind-increment ``deltas`` — and return the commit record's LSN.
+        blind-increment ``deltas`` — for the transaction at path ``txn``
+        (or with that ``ActionName``) and return the commit record's LSN.
         Buffered write to the OS — call :meth:`sync` to make it durable
         per the policy.  Safe to call inside engine latches."""
-        path = list(txn.path)
+        path = list(txn.path if isinstance(txn, ActionName) else txn)
         deltas = deltas or {}
         with self._lock:
             if self._fh is None:

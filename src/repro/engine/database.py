@@ -35,21 +35,19 @@ the serve layer's wake target puts the op back on its submission queue.
 **Identity is the path.**  Lock holders, version owners, snapshot
 horizons, the registry and trace records are keyed by ``Transaction.key``
 (a path tuple; ancestry is a prefix test).  An ``ActionName`` is built
-only where the paper's name is observable: ``Transaction.name``, events,
-the WAL, exceptions and waits-for edges (conflict path only).  The
-registry holds *live* transactions only, so an engine at rest is empty.
+only where the paper's name is observable: ``Transaction.name``, events
+(rendered at delivery), exceptions and waits-for edges (conflict path
+only); the WAL frame is written from the path.  The registry holds
+*live* transactions only, so an engine at rest is empty.
 
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
-recorder, WAL, metrics, whatever a wake target takes).  Trace
-publication — every record, aborts included: a subtree abort only
-reserves its seqs under the latch and the thread that aborted publishes
-them after release (``_publish_aborts``), so a trace listener may read
-the engine — event fan-out and the durable fsync all happen after the
-latch is released.  The exceptions are the events of the abort path
-itself (``TxnAborted``, ``DeadlockDetected``, ``VictimChosen``,
-``OrphanReaped``), still emitted under the latch: an event sink must not
-call back into the engine.  See DESIGN.md
-("One latch") for the measurements that retired the striped alternative.
+recorder, WAL, metrics, whatever a wake target takes).  **One
+publication rule:** a latched step only queues what it has to say — a
+trace record's fields with its reserved seq, or an event — on the
+outbox, which every entry point delivers after the latch, raise or not
+(``_publish``); so trace listeners and event sinks may call back into
+the engine.  See DESIGN.md ("One latch") for the measurements that
+retired the striped alternative.
 
 Configuration axes (these drive the E1/E6 benchmarks):
 
@@ -79,7 +77,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from contextlib import contextmanager
 
@@ -87,6 +86,7 @@ from ..core.action_tree import ABORTED, ACTIVE, COMMITTED
 from ..core.naming import ActionName
 from ..obs import (
     DeadlockDetected,
+    Event,
     EventBus,
     LockInherited,
     LockWaited,
@@ -97,6 +97,7 @@ from ..obs import (
     TxnBegun,
     TxnCommitted,
     VictimChosen,
+    WalCommitLogged,
 )
 from .config import EngineConfig
 from .deadlock import WaitsForGraph, choose_victim
@@ -122,9 +123,9 @@ BATCH_DONE = "done"
 BATCH_BLOCKED = "blocked"
 BATCH_ERROR = "error"
 
-#: What one latched commit hands to the off-latch publication step:
-#: ``(commit_seq, stamp, inherited_objects, wal_lsn)``.
-_CommitOutcome = Tuple[Optional[int], Optional[int], Tuple[str, ...], Optional[int]]
+#: What :meth:`NestedTransactionDB._attempt_locked` returns for a request
+#: it cannot grant (a granted read may see any value, ``None`` included).
+_BLOCKED = object()
 
 
 def _begin_record(txn: Transaction, seq: int) -> TraceRecord:
@@ -138,26 +139,25 @@ def _begin_record(txn: Transaction, seq: int) -> TraceRecord:
     return TraceRecord(CREATE, txn.key, seq=seq)
 
 
-def _perform_record(
-    txn: Transaction, obj: str, kind: str, seen: Any, arg: Any, seq: int
-) -> TraceRecord:
-    """The trace record of one granted data access (built off-latch;
-    ``seq`` was reserved under the latch that serialized the access).
-    A write-intent read is a ``read`` access holding a stronger lock,
-    and a read carries no argument whatever the caller passed."""
-    if kind != "write" and kind != "increment":
-        kind, arg = "read", None
-    return TraceRecord(
-        PERFORM, txn.key, txn.next_access_key(kind), obj, kind, seen, arg, seq
-    )
-
-
-def _commit_record(
-    txn: Transaction, seq: int, stamp: Optional[int]
-) -> TraceRecord:
+def _commit_record(key: Key, seq: int, stamp: Optional[int]) -> TraceRecord:
     """The ``commit`` record; a top-level's carries its commit stamp so
     certifiers can reconstruct the committed state at any horizon."""
-    return TraceRecord(COMMIT, txn.key, arg=stamp, seq=seq)
+    return TraceRecord(COMMIT, key, arg=stamp, seq=seq)
+
+
+def _abort_record(key: Key, seq: int) -> TraceRecord:
+    return TraceRecord(ABORT, key, seq=seq)
+
+
+def _event(cls: type, *fields: Any) -> Event:
+    """An event built at delivery: each ``Transaction`` field is rendered
+    as its name here, off the latch, and only when a sink listens."""
+    return cls(*[f.name if isinstance(f, Transaction) else f for f in fields])
+
+
+def _reaped_event(holder: Key) -> Event:
+    # A reaped holder is dead: only its key is left to render.
+    return OrphanReaped(ActionName.make(holder), "lazy lock reap")
 
 
 class NestedTransactionDB:
@@ -253,9 +253,11 @@ class NestedTransactionDB:
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder() if config.record_trace else None
         )
-        # ``(key, seq)`` of abort records reserved under the latch and not
-        # yet published (see _publish_aborts).
-        self._abort_seqs: List[Tuple[Key, int]] = []
+        # What latched steps have to say, in order, as ``(make, *fields)``
+        # — a trace record (fields plus the seq reserved under the latch)
+        # or an event — until an entry point delivers it after the latch
+        # (_publish).  Without a trace or a sink it stays empty.
+        self._outbox: Deque[Tuple[Any, ...]] = deque()
         self._object_waits: Dict[str, int] = {obj: 0 for obj in initial}
         # Online certification: "streaming" subscribes an incremental
         # Theorem-9 certifier to the trace stream; violations accumulate
@@ -283,11 +285,12 @@ class NestedTransactionDB:
         abort writers.  Writes, increments, and write-intent reads raise
         :class:`~repro.engine.errors.ReadOnlyViolation`.
         """
-        with self._latch:
-            key = (next(self._top_counter),)
-            txn, seq = self._begin_locked(key, None, read_only)
-        self._publish_begin(txn, seq)
-        return txn
+        try:
+            with self._latch:
+                return self._begin_locked((next(self._top_counter),), None, read_only)
+        finally:
+            if self._outbox:
+                self._publish()
 
     @contextmanager
     def transaction(self, read_only: bool = False) -> Iterator[Transaction]:
@@ -422,6 +425,10 @@ class NestedTransactionDB:
                 raise AssertionError(
                     "requests still parked on %r" % sorted(self._waiters)
                 )
+            if self._outbox:
+                raise AssertionError(
+                    "%d undelivered item(s) in the outbox" % len(self._outbox)
+                )
 
     def assert_certified(self) -> None:
         """Raise when the streaming certifier has flagged any violation
@@ -459,34 +466,32 @@ class NestedTransactionDB:
     # -- lifecycle internals (called by Transaction) --------------------------------
 
     def _begin(self, parent: Transaction) -> Transaction:
-        with self._latch:
-            if parent.status == ABORTED:
-                # A concurrent deadlock-victim or subtree abort may kill the
-                # parent between a worker's operations; surface that as the
-                # retryable abort it is, not as a caller programming error.
-                raise TransactionAborted(
-                    parent.name, "begin under aborted transaction"
-                )
-            if parent.status != ACTIVE:
-                raise InvalidTransactionState(
-                    "cannot begin a child of %s transaction %r"
-                    % (parent.status, parent.name)
-                )
-            label = parent._child_counter
-            parent._child_counter = label + 1
-            txn, seq = self._begin_locked(parent.key + (label,), parent)
-        self._publish_begin(txn, seq)
-        return txn
+        try:
+            with self._latch:
+                if parent.status == ABORTED:
+                    # A concurrent deadlock-victim or subtree abort may kill
+                    # the parent between a worker's operations: retryable,
+                    # not a caller programming error.
+                    raise TransactionAborted(
+                        parent.name, "begin under aborted transaction"
+                    )
+                if parent.status != ACTIVE:
+                    raise InvalidTransactionState(
+                        "cannot begin a child of %s transaction %r"
+                        % (parent.status, parent.name)
+                    )
+                label = parent._child_counter
+                parent._child_counter = label + 1
+                return self._begin_locked(parent.key + (label,), parent)
+        finally:
+            if self._outbox:
+                self._publish()
 
     def _begin_locked(
-        self,
-        key: Key,
-        parent: Optional[Transaction],
-        read_only: bool = False,
-    ) -> Tuple[Transaction, Optional[int]]:
-        """Register a new transaction (latch held).  Only the trace seq
-        is reserved here; the record and the event fan-out happen in
-        :meth:`_publish_begin`, after the latch is released."""
+        self, key: Key, parent: Optional[Transaction], read_only: bool = False
+    ) -> Transaction:
+        """Register a new transaction (latch held) and queue its
+        ``create`` record and ``txn_begun`` event."""
         txn = Transaction(self, key, parent, read_only)
         if read_only and parent is None:
             # Pin the snapshot horizon under the latch: every commit
@@ -497,42 +502,29 @@ class NestedTransactionDB:
         if parent is not None:
             parent.children.append(txn)
         self.stats.begun += 1
-        seq = self.trace.reserve_seq() if self.trace is not None else None
-        return txn, seq
-
-    def _publish_begin(self, txn: Transaction, seq: Optional[int]) -> None:
-        """Off-critical-path half of begin: trace publication and event
-        emission (both touch only leaf locks)."""
-        if seq is not None:
-            self.trace.publish(_begin_record(txn, seq))
+        if self.trace is not None:
+            self._outbox.append((_begin_record, txn, self.trace.reserve_seq()))
         if self.events.enabled:
-            self._emit_begun(txn)
-
-    def _emit_begun(self, txn: Transaction) -> None:
-        parent = txn.parent
-        self.events.emit(
-            TxnBegun(txn.name, parent.name if parent is not None else None)
-        )
+            self._outbox.append((_event, TxnBegun, txn, parent))
+        return txn
 
     def _commit(self, txn: Transaction) -> None:
         started = time.monotonic() if self.metrics.enabled else None
-        with self._latch:
-            outcome = self._commit_locked(txn)
-        commit_seq, stamp, inherited, wal_lsn = outcome
-        if commit_seq is not None:
-            self.trace.publish(_commit_record(txn, commit_seq, stamp))
-        if wal_lsn is not None:
-            self._finish_durable_commit(wal_lsn)
-        if self.events.enabled:
-            self._emit_committed(txn, inherited)
+        try:
+            with self._latch:
+                inherited, wal_lsn = self._commit_locked(txn)
+        finally:
+            if self._outbox:
+                self._publish()
+        self._settle_commits(((txn, inherited),), wal_lsn)
         if started is not None:
             self._h_commit.observe(time.monotonic() - started)
 
-    def _commit_locked(self, txn: Transaction) -> _CommitOutcome:
+    def _commit_locked(self, txn: Transaction) -> Tuple[Tuple[str, ...], Optional[int]]:
         """Commit ``txn`` to its parent (latch held): validate, append
         the WAL redo batch, then flip the status, inherit locks and
-        versions and wake the requests parked on them.  Trace publication,
-        the fsync and events are the caller's job, after the latch drops.
+        versions and wake the requests parked on them.  Returns the
+        objects it held and its WAL LSN, if any, for ``_settle_commits``.
 
         The WAL append is the one step that can fail for reasons outside
         the engine (a value the log cannot encode, a closed log), so it
@@ -552,18 +544,18 @@ class NestedTransactionDB:
                     % (txn.name, child.name)
                 )
         wal_batch = self._collect_perm_writes(txn)
-        wal_lsn = (
-            self.durability.log_commit(txn.name, *wal_batch)
-            if wal_batch
-            else None
-        )
+        wal_lsn = None
+        if wal_batch:
+            wal_lsn = self.durability.log_commit(txn.key, *wal_batch)
+            if self.events.enabled:
+                writes, deltas = wal_batch
+                self._outbox.append(
+                    (_event, WalCommitLogged, txn, wal_lsn, len(writes) + len(deltas))
+                )
         txn.status = COMMITTED
         # Forgotten: out of the registry, its (finished) children unlinked.
         del self._txns[txn.key]
         txn.children.clear()
-        commit_seq = (
-            self.trace.reserve_seq() if self.trace is not None else None
-        )
         stamp = prune_below = None
         if txn.parent is None:
             if txn.read_only:
@@ -575,24 +567,38 @@ class NestedTransactionDB:
                 prune_below = (
                     min(horizons.values()) if horizons else stamp
                 )
+        if self.trace is not None:
+            self._outbox.append(
+                (_commit_record, txn.key, self.trace.reserve_seq(), stamp)
+            )
         inherited = tuple(txn.held_objects)
         self._inherit_locks(txn, stamp, prune_below)
         if not self._waits.idle():
             self._waits.remove_transaction(txn.name)
         self.stats.committed += 1
-        return commit_seq, stamp, inherited, wal_lsn
+        return inherited, wal_lsn
 
-    def _emit_committed(self, txn: Transaction, inherited: Tuple[str, ...]) -> None:
-        self.events.emit(TxnCommitted(txn.name, len(inherited)))
-        if inherited:
-            parent = txn.parent
-            self.events.emit(
-                LockInherited(
-                    txn.name,
-                    parent.name if parent is not None else None,
-                    inherited,
-                )
-            )
+    def _settle_commits(
+        self, done: Iterable[Tuple[Transaction, Tuple[str, ...]]], wal_lsn: Optional[int]
+    ) -> None:
+        """Off-latch tail of ``commit()`` and ``commit_batch``: fsync per
+        the sync policy through ``wal_lsn`` (the call does not return
+        until its batch is durable) and take the auto-checkpoint when the
+        interval elapsed; only then tell the sinks about ``done``'s
+        ``(transaction, objects it held)`` pairs — no sink hears of a
+        commit before it is durable."""
+        if wal_lsn is not None:
+            self.durability.sync(wal_lsn)
+            if self.durability.should_checkpoint():
+                self.checkpoint()
+        if self.events.enabled:
+            for txn, inherited in done:
+                self._outbox.append((_event, TxnCommitted, txn, len(inherited)))
+                if inherited:
+                    self._outbox.append(
+                        (_event, LockInherited, txn, txn.parent, inherited)
+                    )
+            self._publish()
 
     def _collect_perm_writes(
         self, txn: Transaction
@@ -621,16 +627,6 @@ class NestedTransactionDB:
         if not writes and not deltas:
             return None
         return writes, deltas
-
-    def _finish_durable_commit(self, wal_lsn: int) -> None:
-        """Post-latch half of a durable commit: fsync per the sync policy,
-        then take the auto-checkpoint when the interval elapsed.  The
-        commit call does not return until its batch is durable."""
-        durability = self.durability
-        assert durability is not None
-        durability.sync(wal_lsn)
-        if durability.should_checkpoint():
-            self.checkpoint()
 
     def checkpoint(self) -> Any:
         """Take a fuzzy checkpoint of the committed store and truncate the
@@ -691,10 +687,12 @@ class NestedTransactionDB:
             self._h_inherit.observe(time.monotonic() - started)
 
     def _abort(self, txn: Transaction) -> None:
-        with self._latch:
-            self._abort_subtree_locked(txn, reason="explicit abort")
-        if self._abort_seqs:
-            self._publish_aborts()
+        try:
+            with self._latch:
+                self._abort_subtree_locked(txn, reason="explicit abort")
+        finally:
+            if self._outbox:
+                self._publish()
 
     def _abort_subtree_locked(self, txn: Transaction, reason: str) -> None:
         """Abort every active transaction in txn's subtree, deepest first,
@@ -705,8 +703,7 @@ class NestedTransactionDB:
         raise in the caller's section cannot lose the wake-up; under lazy
         cleanup the woken request reaps the dead holder itself), and so
         are the subtree's own parked requests, to learn they are dead.
-        Each abort record's seq is reserved here; the caller publishes
-        the records after release (:meth:`_publish_aborts`)."""
+        Each abort record and ``txn_aborted`` event is queued."""
         if txn.status != ACTIVE:
             return  # idempotent; committed subtrees die via ancestor deadness
         for child in txn.children:
@@ -718,7 +715,7 @@ class NestedTransactionDB:
         if txn.parent is None:
             self._snapshot_horizons.pop(key, None)
         if self.trace is not None:
-            self._abort_seqs.append((key, self.trace.reserve_seq()))
+            self._outbox.append((_abort_record, key, self.trace.reserve_seq()))
         if self._waiters:
             self._wake_locked(txn.held_objects)
             self._withdraw_locked(txn)
@@ -732,22 +729,33 @@ class NestedTransactionDB:
             self._waits.remove_transaction(txn.name)
         self.stats.aborted += 1
         if self.events.enabled:
-            self.events.emit(TxnAborted(txn.name, reason))
+            self._outbox.append((_event, TxnAborted, txn, reason))
 
-    def _publish_aborts(self) -> None:
-        """Publish the abort records reserved under the latch (latch
-        *not* held).  Every path that can abort calls this after it
-        releases the latch — the blocking and batched attempts on their
-        way out, raise or not (a deadlock victim is aborted inside an
-        attempt).  The backlog is taken under the latch, so each record
-        is published once, by whichever such thread comes first; a
-        caller whose records another thread took finds it empty."""
-        with self._latch:
-            reserved, self._abort_seqs = self._abort_seqs, []
-        if reserved:
-            self.trace.publish_many(
-                [TraceRecord(ABORT, key, seq=seq) for key, seq in reserved]
-            )
+    def _publish(self) -> None:
+        """Deliver the outbox, latch *not* held: every entry point that
+        changes the engine calls this on its way out, raise or not.  Items
+        are built here and delivered FIFO, a run of trace records as one
+        batch; ``popleft`` hands each item (another thread's, perhaps) to
+        exactly one publisher, with no second latch crossing."""
+        outbox = self._outbox
+        while outbox:
+            records: List[TraceRecord] = []
+            event: Optional[Event] = None
+            while outbox:
+                try:
+                    item = outbox.popleft()
+                except IndexError:  # a concurrent publisher took the last
+                    break
+                built = item[0](*item[1:])
+                if built.__class__ is TraceRecord:
+                    records.append(built)
+                else:
+                    event = built
+                    break
+            if records:
+                self.trace.publish_many(records)
+            if event is not None:
+                self.events.emit(event)
 
     def cancel_waits(self, txn: Transaction) -> None:
         """Withdraw ``txn``'s blocked requests — wait-queue entries and
@@ -757,10 +765,14 @@ class NestedTransactionDB:
         request must withdraw them, or they linger as false cycle
         material until the transaction finishes.  A withdrawn entry's
         wake target fires, so its owner learns it is no longer parked."""
-        with self._latch:
-            if self._waiters:
-                self._withdraw_locked(txn)
-            self._waits.clear_waits(txn.name)
+        try:
+            with self._latch:
+                if self._waiters:
+                    self._withdraw_locked(txn)
+                self._waits.clear_waits(txn.name)
+        finally:
+            if self._outbox:  # a timed-out waiter's ``lock_waited``
+                self._publish()
 
     def _park_locked(
         self, txn: Transaction, obj: str, wake: Callable[[], None]
@@ -832,8 +844,7 @@ class NestedTransactionDB:
         """The blocking data-access API (``Transaction.read`` / ``write``
         / ``read_for_update`` / ``increment``): attempt under the latch;
         while the request conflicts, park it and sleep *outside* the
-        latch on a private gate its wake target opens; publish the trace
-        record after the latch drops."""
+        latch on a private gate its wake target opens."""
         if kind == "increment" and self.single_mode and not txn.read_only:
             # Single mode — where every access conflicts anyway — has no
             # increment lock: degenerate to read-modify-write under the
@@ -848,8 +859,8 @@ class NestedTransactionDB:
         while True:
             try:
                 with self._latch:
-                    granted = self._attempt_locked(txn, kind, obj, arg)
-                    if granted is None:
+                    seen = self._attempt_locked(txn, kind, obj, arg)
+                    if seen is _BLOCKED:
                         if gate is None:
                             gate = threading.Lock()
                             gate.acquire()
@@ -857,10 +868,10 @@ class NestedTransactionDB:
                         # entry out opens it, once.
                         self._park_locked(txn, obj, gate.release)
             finally:
-                if self._abort_seqs:  # a deadlock victim was aborted
-                    self._publish_aborts()
-            if granted is not None:
-                break
+                if self._outbox:
+                    self._publish()
+            if seen is not _BLOCKED:
+                return None if kind == "write" else seen
             now = time.monotonic()
             if deadline is None:
                 deadline = now + self.lock_timeout
@@ -871,46 +882,37 @@ class NestedTransactionDB:
                 if self.metrics.enabled:
                     self._h_lock_wait.observe(waited)
                 if self.events.enabled:
-                    self.events.emit(
-                        LockWaited(txn.name, obj, self._modes[kind], waited)
+                    # Delivered by the next attempt, or cancel_waits.
+                    self._outbox.append(
+                        (_event, LockWaited, txn, obj, self._modes[kind], waited)
                     )
             if not woke:
                 self.cancel_waits(txn)
                 raise LockTimeout(txn.name, obj)
-        seen, seq = granted
-        if seq is not None:
-            # Off the critical path: record construction and publication
-            # touch only the recorder's leaf lock (see trace.py).
-            self.trace.publish(_perform_record(txn, obj, kind, seen, arg, seq))
-        return None if kind == "write" else seen
 
-    def _attempt_locked(
-        self, txn: Transaction, kind: str, obj: str, arg: Any
-    ) -> Optional[Tuple[Any, Optional[int]]]:
+    def _attempt_locked(self, txn: Transaction, kind: str, obj: str, arg: Any) -> Any:
         """One non-blocking attempt at a data access (latch held) — the
         paper's ``perform`` precondition and effect, stated once.
 
         Granted: the lock is taken, the read / write / increment applied
-        to the version stack, the counter bumped and the trace seq
-        reserved; returns ``(seen, seq)`` — the value observed (``None``
-        for a blind increment) and the seq of the record the caller
-        publishes off-latch.
+        to the version stack, the counter bumped and the trace record
+        queued; returns the value observed (``None`` for a blind
+        increment).
 
         Conflicting: the waits-for edges are registered (they stay behind
         so the deadlock detector sees the requester while it is parked,
-        whichever API parked it), a cycle
-        sweep runs when the edge set changed (the closing edge of any
-        cycle triggers the sweep from its waiter, so unchanged retries
-        have nothing new to find), a victim other than the requester's
-        own lineage is aborted and the attempt repeats at once; otherwise
-        returns ``None`` and nothing happened — the caller parks the
-        request (:meth:`_park_locked`) before it leaves the latch.
+        whichever API parked it), a cycle sweep runs when the edge set
+        changed (the closing edge of any cycle triggers the sweep from its
+        waiter, so unchanged retries have nothing new to find), a victim
+        other than the requester's own lineage is aborted and the attempt
+        repeats at once; otherwise returns ``_BLOCKED`` and nothing
+        happened — the caller parks the request (:meth:`_park_locked`)
+        before it leaves the latch.
 
         Raises for terminal failures: aborted or orphaned transaction
         (:class:`DeadlockAbort` when this very sweep chose the requester
         or one of its ancestors), unknown object, read-only violation.
         """
-        trace = self.trace
         if txn.read_only:
             # Snapshot read: resolve the committed value as of the
             # transaction's horizon from the version history.  No lock is
@@ -922,7 +924,12 @@ class NestedTransactionDB:
             self._check_live_locked(txn)
             seen = self._objects[obj][1].value_at(txn.snapshot_horizon)
             self.stats.snapshot_reads += 1
-            return seen, (trace.reserve_seq() if trace is not None else None)
+            if self.trace is not None:
+                self._outbox.append(
+                    (TraceRecord, PERFORM, txn.key, txn.next_access_key(kind), obj,
+                     kind, seen, None, self.trace.reserve_seq())
+                )
+            return seen
         record = self._objects.get(obj)
         if record is None:
             raise UnknownObject(obj)
@@ -950,7 +957,7 @@ class NestedTransactionDB:
                     continue
             self.stats.lock_waits += 1
             self._object_waits[obj] += 1
-            return None
+            return _BLOCKED
         locks.grant(key, mode)
         txn.held_objects.add(obj)
         if not waits.idle() and waits.has_waits(txn.name):
@@ -978,7 +985,14 @@ class NestedTransactionDB:
         else:
             seen = stack.effective_current() if stack.deltas else stack.current
             self.stats.reads += 1
-        return seen, (trace.reserve_seq() if trace is not None else None)
+            # Traced as a read whatever lock it took, and without an arg.
+            kind, arg = "read", None
+        if self.trace is not None:
+            self._outbox.append(
+                (TraceRecord, PERFORM, key, txn.next_access_key(kind), obj, kind,
+                 seen, arg, self.trace.reserve_seq())
+            )
+        return seen
 
     def _break_deadlock_locked(
         self, txn: Transaction, cycle: List[ActionName]
@@ -989,9 +1003,10 @@ class NestedTransactionDB:
         self.stats.deadlocks += 1
         victim_name = choose_victim(cycle, self.deadlock_policy, name)
         if self.events.enabled:
-            self.events.emit(DeadlockDetected(name, tuple(cycle)))
-            self.events.emit(
-                VictimChosen(victim_name, self.deadlock_policy, name, len(cycle))
+            self._outbox.append((_event, DeadlockDetected, name, tuple(cycle)))
+            self._outbox.append(
+                (_event, VictimChosen, victim_name, self.deadlock_policy, name,
+                 len(cycle))
             )
         self._waits.clear_waits(name)
         # Graph nodes are live (a finishing transaction leaves the graph
@@ -1020,9 +1035,7 @@ class NestedTransactionDB:
             stack.discard(holder)
             self.stats.lazy_lock_reaps += 1
             if self.events.enabled:
-                self.events.emit(
-                    OrphanReaped(ActionName.make(holder), "lazy lock reap")
-                )
+                self._outbox.append((_reaped_event, holder))
         if self._waiters and len(survivors) != len(conflicts):
             # A parked request has a live blocker besides; this keeps
             # "every lock move wakes" unconditional.
@@ -1037,36 +1050,24 @@ class NestedTransactionDB:
     # cost that caps per-core throughput under thread-per-session load.
     # Ops that would block never stall a batch — they come back BLOCKED,
     # parked on the engine's wait queue when they carry a wake target
-    # (the caller re-submits the same attempt when it fires).  See src/repro/serve/batch.py for the
-    # submission queue in front of these entry points and the measurement
-    # spine's ``served_durable`` workload and ``serve`` ledger line
-    # (benchmarks/spine/README.md) for the numbers.
+    # (the caller re-submits the same attempt when it fires).  See
+    # src/repro/serve/batch.py for the submission queue in front of these
+    # entry points and the spine's ``served_durable`` workload for numbers.
 
-    def begin_transaction_batch(
-        self, count: int, read_only: bool = False
-    ) -> List[Transaction]:
+    def begin_transaction_batch(self, count: int, read_only: bool = False) -> List[Transaction]:
         """Begin ``count`` top-level transactions under one latch
-        crossing.  Trace records and events publish after release,
-        exactly like :meth:`begin_transaction`."""
-        if count <= 0:
-            return []
-        pairs: List[Tuple[Transaction, Optional[int]]] = []
-        with self._latch:
-            for _ in range(count):
-                key = (next(self._top_counter),)
-                pairs.append(self._begin_locked(key, None, read_only))
-        if self.trace is not None:
-            self.trace.publish_many(
-                [_begin_record(txn, seq) for txn, seq in pairs]
-            )
-        if self.events.enabled:
-            for txn, _seq in pairs:
-                self._emit_begun(txn)
-        return [txn for txn, _seq in pairs]
+        crossing, publishing like :meth:`begin_transaction`."""
+        try:
+            with self._latch:
+                return [
+                    self._begin_locked((next(self._top_counter),), None, read_only)
+                    for _ in range(count)
+                ]
+        finally:
+            if self._outbox:
+                self._publish()
 
-    def try_perform_batch(
-        self, ops: List[Tuple[Any, ...]]
-    ) -> List[Tuple[str, Any]]:
+    def try_perform_batch(self, ops: List[Tuple[Any, ...]]) -> List[Tuple[str, Any]]:
         """Attempt a batch of data operations non-blocking, crossing the
         latch once for the whole batch.
 
@@ -1075,9 +1076,8 @@ class NestedTransactionDB:
         ``"read_for_update"``, ``"write"``, ``"increment"``.  Returns one
         ``(status, payload)`` per op, in order:
 
-        * ``("done", value)`` — performed; trace record published with a
-          seq reserved under the latch (same linearization as the
-          blocking path);
+        * ``("done", value)`` — performed, its trace record published like
+          the blocking path's;
         * ``("blocked", None)`` — the lock request conflicts (or is a
           single-mode increment, which expands to two dependent lock
           requests the caller must issue); nothing happened.  The
@@ -1094,7 +1094,6 @@ class NestedTransactionDB:
             if op[1] not in self._modes:
                 raise ValueError("unknown batch op kind %r" % (op[1],))
         results: List[Tuple[str, Any]] = []
-        publish: List[Tuple[Transaction, str, str, Any, Any, int]] = []
         try:
             with self._latch:
                 for op in ops:
@@ -1104,7 +1103,7 @@ class NestedTransactionDB:
                         results.append((BATCH_BLOCKED, None))
                         continue
                     try:
-                        granted = self._attempt_locked(txn, kind, obj, arg)
+                        seen = self._attempt_locked(txn, kind, obj, arg)
                     except (
                         TransactionAborted,
                         InvalidTransactionState,
@@ -1112,27 +1111,18 @@ class NestedTransactionDB:
                     ) as error:
                         results.append((BATCH_ERROR, error))
                         continue
-                    if granted is None:
+                    if seen is _BLOCKED:
                         if len(op) > 4 and op[4] is not None:
                             self._park_locked(txn, obj, op[4])
                         results.append((BATCH_BLOCKED, None))
                         continue
-                    seen, seq = granted
-                    if seq is not None:
-                        publish.append((txn, obj, kind, seen, arg, seq))
                     results.append((BATCH_DONE, None if kind == "write" else seen))
         finally:
-            if self._abort_seqs:  # a deadlock victim was aborted
-                self._publish_aborts()
-        if publish:
-            # Every latch released; seqs were reserved under it, so the
-            # linearization is unaffected (readers sort by seq).
-            self.trace.publish_many([_perform_record(*op) for op in publish])
+            if self._outbox:
+                self._publish()
         return results
 
-    def commit_batch(
-        self, txns: List[Transaction]
-    ) -> List[Tuple[str, Any]]:
+    def commit_batch(self, txns: List[Transaction]) -> List[Tuple[str, Any]]:
         """Commit many transactions with amortized synchronization: one
         latch crossing, then ONE durable fsync covering the whole batch —
         the group-commit ack coalescing of ``durability/wal.py`` driven
@@ -1146,29 +1136,24 @@ class NestedTransactionDB:
         abort) while the rest are published, synced and acked."""
         started = time.monotonic() if self.metrics.enabled else None
         results: List[Tuple[str, Any]] = []
-        done: List[Tuple[Transaction, _CommitOutcome]] = []
-        with self._latch:
-            for txn in txns:
-                try:
-                    outcome = self._commit_locked(txn)
-                except Exception as error:  # noqa: BLE001 - contained per txn
-                    results.append((BATCH_ERROR, error))
-                else:
+        done: List[Tuple[Transaction, Tuple[str, ...]]] = []
+        last_lsn = None  # LSNs grow under the latch: the last covers all
+        try:
+            with self._latch:
+                for txn in txns:
+                    try:
+                        inherited, wal_lsn = self._commit_locked(txn)
+                    except Exception as error:  # noqa: BLE001 - contained per txn
+                        results.append((BATCH_ERROR, error))
+                        continue
                     results.append((BATCH_DONE, None))
-                    done.append((txn, outcome))
-        if self.trace is not None:
-            self.trace.publish_many(
-                [
-                    _commit_record(txn, seq, stamp)
-                    for txn, (seq, stamp, _inherited, _lsn) in done
-                ]
-            )
-        if self.events.enabled:
-            for txn, (_seq, _stamp, inherited, _lsn) in done:
-                self._emit_committed(txn, inherited)
-        lsns = [lsn for _txn, (_seq, _stamp, _inherited, lsn) in done if lsn is not None]
-        if lsns:
-            self._finish_durable_commit(max(lsns))
+                    done.append((txn, inherited))
+                    if wal_lsn is not None:
+                        last_lsn = wal_lsn
+        finally:
+            if self._outbox:
+                self._publish()
+        self._settle_commits(done, last_lsn)
         if started is not None:
             self._h_commit.observe(time.monotonic() - started)
         return results

@@ -214,8 +214,11 @@ class TraceRecorder:
     def publish_many(self, records: Sequence[TraceRecord]) -> None:
         """:meth:`publish` for a batch: one crossing of the recorder's
         leaf lock, and one call per listener that registered a batch
-        form."""
-        if not records:
+        form.  A batch of one is published as one record (the blocking
+        API's usual delivery), which spares the batch bookkeeping."""
+        if len(records) <= 1:
+            if records:
+                self.publish(records[0])
             return
         with self._lock:
             last = self._last_seq

@@ -1,11 +1,10 @@
 """Structured engine events and the bus that fans them out to sinks.
 
-Every noteworthy engine transition has a typed event.  The engine emits
+Every noteworthy engine transition has a typed event.  The engine builds
 them *guarded* (``if db.events.enabled``) so a bus with no sinks costs one
-attribute load; with sinks attached, emission happens wherever the
-transition is decided — sometimes inside an engine latch — so sinks MUST
-be leaf consumers: they may take their own small locks and do I/O, but
-they must never call back into the engine or acquire engine latches.
+attribute load; with sinks attached, the engine queues each event under
+its latch and delivers it after the latch is released (its one
+publication rule, see ``repro.engine.database``).
 
 A sink that raises does not disturb the engine: the bus swallows the
 exception, counts it in :attr:`EventBus.sink_errors` and remembers the

@@ -1,8 +1,6 @@
 """Event sinks: where the :class:`~repro.obs.events.EventBus` delivers.
 
-All sinks are leaf consumers — they take only their own lock and never
-call back into the engine (events can be emitted while engine latches are
-held).  Three implementations ship:
+All sinks take only their own lock.  Three implementations ship:
 
 * :class:`RingBufferSink` — last-N events in memory, for tests and
   post-mortem inspection (``sink.events``);

@@ -211,6 +211,38 @@ def test_wal_metrics_and_events(tmp_path):
     assert taken and taken[0].seq == 1
 
 
+def commit_one(db):
+    txn = db.begin_transaction()
+    txn.write("x", 1)
+    txn.commit()
+
+
+def commit_one_batched(db):
+    (txn,) = db.begin_transaction_batch(1)
+    assert db.try_perform_batch([(txn, "write", "x", 1)]) == [("done", None)]
+    assert db.commit_batch([txn]) == [("done", None)]
+
+
+@pytest.mark.parametrize("commit", [commit_one, commit_one_batched])
+def test_sinks_hear_of_a_commit_only_once_it_is_durable(tmp_path, commit):
+    """Both commit paths deliver ``txn_committed`` after the fsync that
+    covers it, so a sink that acts on it never acts on a commit a crash
+    could still lose."""
+    manager = DurabilityManager(str(tmp_path / "wal"), fsync_fn=lambda fd: None)
+    db = NestedTransactionDB({"x": 0}, config=EngineConfig(durability=manager))
+    sink = db.events.attach(RingBufferSink())
+    commit(db)
+    assert [event.kind for event in sink.events] == [
+        "txn_begun",
+        "wal_commit_logged",
+        "wal_synced",
+        "txn_committed",
+        "lock_inherited",
+    ]
+    db.assert_quiescent()
+    db.close()
+
+
 def test_recovery_event_reports_replay(tmp_path):
     db = make_db(tmp_path)
     db.run_transaction(increment)

@@ -19,6 +19,7 @@ import inspect
 import io
 import os
 import random
+import sys
 import tempfile
 import threading
 import time
@@ -39,6 +40,7 @@ from repro.engine import (
     TransactionAborted,
 )
 from repro.engine import database as database_module
+from repro.engine.retry import RetryPolicy
 from repro.serve import batch as serve_batch_module
 
 OBJECTS = ("a", "b", "c")
@@ -594,16 +596,25 @@ def load_profile_script():
     return module
 
 
-@pytest.mark.parametrize("record_trace", [False, True])
-def test_no_name_is_minted_unless_someone_reads_it(record_trace):
+@pytest.mark.parametrize(
+    "record_trace, durable",
+    [(False, False), (True, False), (False, True)],
+    ids=["False", "True", "durable"],
+)
+def test_no_name_is_minted_unless_someone_reads_it(record_trace, durable, tmp_path):
     """200 spine-shaped programs (5 transactions, 20 accesses each).
     With no event sink and metrics off nobody reads a name, and the
     engine constructs none and never probes the interning table: 0,
-    exactly — with or without a trace, whose records carry the paths."""
+    exactly — with or without a trace, whose records carry the paths,
+    and with a WAL, whose commit frames are written from the path."""
     profile = load_profile_script()
     names = ["o%d" % i for i in range(64)]
+    durability = (
+        DurabilityManager(str(tmp_path), fsync_fn=lambda fd: None) if durable else None
+    )
     db = NestedTransactionDB(
-        dict.fromkeys(names, 1000), config=EngineConfig(record_trace=record_trace)
+        dict.fromkeys(names, 1000),
+        config=EngineConfig(record_trace=record_trace, durability=durability),
     )
     rng = random.Random(5)
     spine_shaped_program(db, rng, names)  # warm: nothing below is a first call
@@ -618,7 +629,10 @@ def test_no_name_is_minted_unless_someone_reads_it(record_trace):
     }
     if record_trace:
         assert len(db.trace) == 30 * (programs + 1)
+    if durable:
+        assert db.durability.wal.appended_commits == programs + 1
     db.assert_quiescent()
+    db.close()
 
 
 class EventLog:
@@ -673,8 +687,9 @@ def test_reading_names_early_changes_nothing_observable(steps, lazy):
 
 
 # ---------------------------------------------------------------------------
-# One publication rule: every trace record — aborts included — is
-# published after the latch is released, so a listener may read the engine
+# One publication rule: every trace record and every event leaves the
+# engine through its outbox after the latch is released, so a trace
+# listener or an event sink may read the engine
 
 
 class EngineReadingListener:
@@ -759,3 +774,151 @@ def test_deadlock_victim_abort_record_listener_may_read_the_engine(batched):
     db.assert_quiescent()
     db.certifier.finish()
     db.assert_certified()
+
+
+#: Every event kind the engine itself emits (the durability layer's
+#: ``wal_synced`` included; ``failure_injected`` comes from the injector,
+#: ``checkpoint_taken`` / ``recovery_completed`` from outside a program,
+#: ``trace_record`` from the bridge).
+ENGINE_EVENT_KINDS = {
+    "txn_begun",
+    "lock_waited",
+    "deadlock_detected",
+    "victim_chosen",
+    "txn_committed",
+    "txn_aborted",
+    "lock_inherited",
+    "orphan_reaped",
+    "wal_commit_logged",
+    "wal_synced",
+}
+
+
+def test_every_event_and_record_kind_may_read_the_engine(tmp_path):
+    """One script makes the engine say everything it can, through both
+    APIs, to a sink and a trace listener that read the engine each time
+    they are told something: none of it may be delivered under the
+    latch.  The kinds seen are asserted, so a kind the script stops
+    producing fails here instead of dropping out of coverage."""
+    db = NestedTransactionDB(
+        {"x": 0, "y": 0},
+        config=EngineConfig(
+            durability=DurabilityManager(str(tmp_path), fsync_fn=lambda fd: None),
+            record_trace=True,
+            lazy_lock_cleanup=True,
+            deadlock_policy="requester",
+            lock_timeout=0.0,
+        ),
+    )
+    kinds, ops = set(), set()
+
+    class ReadingSink:
+        def handle(self, event):
+            kinds.add(event.kind)
+            db.read_committed("x")
+
+    def reading_listener(record):
+        ops.add(record.op)
+        db.read_committed("x")
+
+    db.events.attach(ReadingSink())
+    db.trace.add_listener(reading_listener)
+
+    def say_everything():
+        top = db.begin_transaction()
+        top.begin_subtransaction().write("x", 1)
+        top.abort()  # lazy cleanup: the dead child keeps its lock on x
+        first = db.begin_transaction()
+        first.write("x", first.read_for_update("x") + 1)  # reaps it
+        first.commit()
+        holder, requester = db.begin_transaction_batch(2)
+        assert db.try_perform_batch([(holder, "write", "x", 5)]) == [("done", None)]
+        with pytest.raises(LockTimeout):
+            requester.read("x")  # waits lock_timeout, then gives up
+        requester.write("y", 1)
+        assert db.try_perform_batch([(holder, "read", "y", None)]) == [
+            ("blocked", None)
+        ]
+        with pytest.raises(DeadlockAbort):
+            requester.read("x")  # closes the cycle; the requester is the victim
+        assert db.try_perform_batch([(holder, "read", "y", None)]) == [("done", 0)]
+        return db.commit_batch([holder])
+
+    assert off_thread(say_everything) == [("done", None)]
+    assert kinds == ENGINE_EVENT_KINDS
+    assert ops == {"create", "perform", "commit", "abort"}
+    assert db.events.sink_errors == 0 and db.trace.listener_errors == 0
+    assert db.snapshot() == {"x": 5, "y": 0}
+    db.assert_quiescent()
+    db.close()
+
+
+def test_assert_quiescent_checks_the_outbox():
+    db = NestedTransactionDB({"x": 0})
+    db.assert_quiescent()
+    db._outbox.append((dict,))
+    with pytest.raises(AssertionError, match="undelivered"):
+        db.assert_quiescent()
+
+
+def two_transfers(top, rng, names):
+    for _ in range(2):
+        src, dst = rng.sample(names, 2)
+        with top.subtransaction() as child:
+            child.write(src, child.read_for_update(src) - 1)
+            child.write(dst, child.read_for_update(dst) + 1)
+
+
+def test_concurrent_publishers_deliver_every_item_exactly_once():
+    """The outbox is shared: a thread may deliver another's items.  Six
+    threads, a short switch interval and a sink that yields the GIL, so
+    publishers drain the outbox side by side: every record and event
+    arrives exactly once, access labels follow seq order, and nothing
+    is left behind (a drain that can lose a concurrent append fails)."""
+    names = ["o%d" % i for i in range(8)]
+    db = NestedTransactionDB(
+        dict.fromkeys(names, 0), config=EngineConfig(record_trace=True)
+    )
+    lock, kinds = threading.Lock(), {}
+
+    class CountingSink:
+        def handle(self, event):
+            with lock:
+                kinds[event.kind] = kinds.get(event.kind, 0) + 1
+            time.sleep(0)  # let other publishers drain the same outbox
+
+    db.events.attach(CountingSink())
+
+    def client(seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            db.run_transaction(
+                lambda t: two_transfers(t, rng, names),
+                policy=RetryPolicy(max_retries=1000, backoff=0.0),
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    records = db.trace.records
+    assert [record.seq for record in records] == list(range(len(records)))
+    labels = {}
+    for record in records:
+        if record.op == "perform":
+            labels.setdefault(record.txn, []).append(int(record.access[-1][1:]))
+    # Labels are taken in seq order, whoever delivers the record.
+    assert all(numbers == list(range(len(numbers))) for numbers in labels.values())
+    assert sum(map(len, labels.values())) == db.stats.reads + db.stats.writes
+    assert kinds["txn_begun"] == db.stats.begun
+    assert kinds["txn_committed"] == db.stats.committed
+    assert kinds.get("txn_aborted", 0) == db.stats.aborted
+    db.assert_quiescent()
+
