@@ -25,9 +25,17 @@ table was probed (``get`` / ``setdefault``), in total and with a
 deterministic run, so they repeat exactly: "the engine mints no name
 unless someone reads it" and "the certifier interns no names" are checked
 as ``0``, not inferred from a timing — trace records carry path tuples,
-so a certified program mints no name either.  ``--count-only`` stops
-after the counts and exits non-zero unless every one of them is zero —
-the deterministic guard the ``perf-smoke`` CI job runs on both shapes.
+so a certified program mints no name either.  ``--nested`` counts the
+same shape once more with a write-ahead log (``DurabilityManager``, its
+fsync a no-op): commit frames are written from the path, so a durable
+program mints no name.  ``--certified`` also prints the trace bytes a
+certified program leaves retained — what ``tracemalloc`` sees freed
+when the finished run's trace is cleared, per program: the trace is
+stored as columns, about 2.1 kB a program (its records as objects took
+6.8 kB).  ``--count-only`` stops after the counts and exits non-zero
+unless every name count is zero and the retained trace stays within
+``TRACE_BYTES_PER_PROGRAM_MAX`` — the deterministic guards the
+``perf-smoke`` CI job runs on both shapes.
 
 ``--served`` runs 256 concurrent sessions (two increments and a read;
 10 % read three objects) through ``AsyncFrontend`` over a certified
@@ -101,17 +109,25 @@ def run_workload(
         txn.commit()
 
 
-def run_nested(txns: int, objects: int, certified: bool, seed: int = 42):
+def run_nested(txns: int, objects: int, certified: bool, seed: int = 42,
+               durable: Optional[str] = None):
     """The spine's nested program shape, bare (no trace) or under the
-    streaming certifier; returns the engine (finished, and certified
-    when asked)."""
+    streaming certifier, and with a write-ahead log in the directory
+    ``durable`` (fsync a no-op) when given; returns the engine (finished,
+    and certified when asked)."""
+    from repro.durability import DurabilityManager
     from repro.engine import EngineConfig, NestedTransactionDB
 
     initial = {"x%d" % i: 1000 for i in range(objects)}
+    durability = (
+        DurabilityManager(durable, fsync_fn=lambda fd: None)
+        if durable is not None else None
+    )
     config = (
-        EngineConfig(record_trace=True, certify="streaming")
+        EngineConfig(record_trace=True, certify="streaming",
+                     durability=durability)
         if certified
-        else EngineConfig(record_trace=False)
+        else EngineConfig(record_trace=False, durability=durability)
     )
     db = NestedTransactionDB(initial, config=config)
     rng = random.Random(seed)
@@ -177,16 +193,23 @@ def counting_names() -> Iterator[Dict[str, int]]:
         del table.get, table.setdefault
 
 
-def count_names(txns: int, objects: int, certified: bool) -> Dict[str, int]:
-    """Run the nested workload under :func:`counting_names`, print each
-    count (total, per transaction, made on behalf of ``repro/checker/``)
-    and return them."""
-    with counting_names() as counts:
-        db = run_nested(txns, objects, certified)
+def count_names(
+    txns: int, objects: int, certified: bool, durable: bool = False
+) -> Dict[str, int]:
+    """Run the nested workload under :func:`counting_names` (with a WAL
+    when ``durable``), print each count (total, per transaction, made on
+    behalf of ``repro/checker/``) and return them."""
+    with tempfile.TemporaryDirectory() as wal_dir:
+        with counting_names() as counts:
+            db = run_nested(txns, objects, certified,
+                            durable=wal_dir if durable else None)
+        db.close()
     records = len(db.trace) if db.trace is not None else 0
+    shape = "certified" if certified else "bare"
     print(
         "names on the %s nested path: %d txns, %d trace records (%.1f/txn)"
-        % ("certified" if certified else "bare", txns, records, records / txns)
+        % (shape + (", durable" if durable else ""), txns, records,
+           records / txns)
     )
     for name in NAME_COUNTERS:
         owner = "_INTERNED." if name in ("get", "setdefault") else "ActionName."
@@ -196,6 +219,43 @@ def count_names(txns: int, objects: int, certified: bool) -> Dict[str, int]:
                counts[name + "_checker"])
         )
     return counts
+
+
+#: The most trace bytes a certified nested program may leave retained
+#: (:func:`trace_bytes_per_program`): columns take about 2.1 kB, records
+#: kept as objects took 6.8 kB.
+TRACE_BYTES_PER_PROGRAM_MAX = 3000
+
+
+def trace_bytes_per_program(txns: int, objects: int) -> float:
+    """Bytes the trace of a finished certified nested run keeps alive,
+    per program: the memory ``tracemalloc`` sees freed when the trace is
+    cleared, everything else (engine, certifier) left as it stands.  A
+    count of a single-threaded seeded run, not a timing: it repeats
+    exactly."""
+    import gc
+    import tracemalloc
+
+    # A full collection empties the free lists, so the run's tuples are
+    # allocated (and traced) afresh, not recycled from an earlier run.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = run_nested(txns, objects, True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        db.trace.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_program = freed / txns
+    print(
+        "trace retained by the certified nested path: %d bytes for %d txns "
+        "(%.0f B/txn, at most %d)"
+        % (freed, txns, per_program, TRACE_BYTES_PER_PROGRAM_MAX)
+    )
+    return per_program
 
 
 #: The served shape: sessions in flight, store size and read-only share of
@@ -450,10 +510,12 @@ def main(argv=None) -> int:
         "--count-only",
         action="store_true",
         help="with --nested/--certified: print the counts and skip the "
-        "profile; exit 1 unless every count is zero.  With --served: exit "
+        "profile; exit 1 unless every name count is zero (--nested: bare "
+        "and durable) and, with --certified, the trace retained per "
+        "program is at most %d bytes.  With --served: exit "
         "1 unless loop wake-ups per committed txn are below 1.  With --cluster: "
         "exit 1 unless round trips per committed txn are exactly 3 "
-        "(single-site) and 6 (cross-site)",
+        "(single-site) and 6 (cross-site)" % TRACE_BYTES_PER_PROGRAM_MAX,
     )
     parser.add_argument(
         "--sort",
@@ -510,17 +572,26 @@ def main(argv=None) -> int:
         return 0
 
     if spine_shape:
-        # Counted in its own run: the shims would distort the profile.
-        counts = count_names(args.txns, args.objects, args.certified)
-        if args.count_only:
+        # Counted in their own runs: the shims would distort the profile.
+        shapes = [("certified" if args.certified else "bare engine", False)]
+        if args.nested:
+            shapes.append(("durable", True))
+        failed = False
+        for label, durable in shapes:
+            counts = count_names(args.txns, args.objects, args.certified, durable)
             minted = sum(counts[name] for name in NAME_COUNTERS)
             if minted:
-                print(
-                    "FAIL: the %s path touched ActionName %d times"
-                    % ("certified" if args.certified else "bare engine", minted)
-                )
-                return 1
-            return 0
+                print("FAIL: the %s path touched ActionName %d times"
+                      % (label, minted))
+                failed = True
+        if args.certified:
+            retained = trace_bytes_per_program(args.txns, args.objects)
+            if retained > TRACE_BYTES_PER_PROGRAM_MAX:
+                print("FAIL: the trace retains %.0f B per certified program "
+                      "(at most %d)" % (retained, TRACE_BYTES_PER_PROGRAM_MAX))
+                failed = True
+        if args.count_only:
+            return 1 if failed else 0
 
     profiler = cProfile.Profile()
     profiler.enable()

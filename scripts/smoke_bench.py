@@ -64,7 +64,7 @@ def run_cell(
         "throughput": round(report.throughput, 1),
         "goodput": round(report.goodput, 1),
         "retries": report.retries,
-        "trace_records": len(db.trace.records),
+        "trace_records": len(db.trace),
         "db_stats": report.db_stats,
     }
     ok = True

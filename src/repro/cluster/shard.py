@@ -21,7 +21,7 @@ then speaks the length-prefixed frame protocol of :mod:`.wire`:
 
 A ``write`` op is ``read_for_update`` + ``write`` so the reply can carry
 the overwritten value; together with the engine's deterministic access
-labels (``Transaction.next_access_key``) this lets the coordinator
+labels (``Transaction.next_access_label``) this lets the coordinator
 synthesize the exact trace records of a branch whose stream was cut off
 by SIGKILL.
 """

@@ -465,6 +465,7 @@ class WriteAheadLog:
                 # otherwise every later sync() would wait forever.
                 self._sleep_fn(self.group_window)
             try:
+                fd = None
                 with self._lock:
                     fh = self._fh
                     target = self._next_lsn - 1
@@ -472,11 +473,17 @@ class WriteAheadLog:
                     self._pending_commits = 0
                     if fh is not None:
                         fh.flush()
-                        # fsync under _lock: a concurrent append crossing
-                        # segment_max_bytes rotates and closes fh, and an
-                        # unlocked fsync would hit a closed (or reused)
-                        # descriptor.
-                        self._fsync_fn(fh.fileno())
+                        # fsync a duplicate of the descriptor after
+                        # releasing _lock, so an append (run under the
+                        # engine latch) never waits for this fsync.  A
+                        # concurrent rotation closes fh, not the duplicate,
+                        # and fsyncs the segment it closes itself.
+                        fd = os.dup(fh.fileno())
+                if fd is not None:
+                    try:
+                        self._fsync_fn(fd)
+                    finally:
+                        os.close(fd)
             except BaseException as exc:
                 # fsyncgate: the kernel may have dropped the dirty pages,
                 # and a retried fsync could "succeed" without the data

@@ -43,10 +43,10 @@ only); the WAL frame is written from the path.  The registry holds
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
 recorder, WAL, metrics, whatever a wake target takes).  **One
 publication rule:** a latched step only queues what it has to say — a
-trace record's fields with its reserved seq, or an event — on the
-outbox, which every entry point delivers after the latch, raise or not
-(``_publish``); so trace listeners and event sinks may call back into
-the engine.  See DESIGN.md ("One latch") for the measurements that
+trace record's fields with its reserved seq (a row the recorder stores
+as it is), or an event — on the outbox, which every entry point
+delivers after the latch, raise or not (``_publish``); so trace
+listeners and event sinks may call back into the engine.  See DESIGN.md ("One latch") for the measurements that
 retired the striped alternative.
 
 Configuration axes (these drive the E1/E6 benchmarks):
@@ -113,7 +113,7 @@ from ..durability import DurabilityManager
 from .locks import INCREMENT, READ, WRITE, ObjectLocks
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .storage import ROOT, Key, VersionStack
-from .trace import ABORT, COMMIT, CREATE, PERFORM, TraceRecord, TraceRecorder
+from .trace import ABORT, COMMIT, CREATE, PERFORM, TraceRecorder
 from .transaction import Transaction
 
 # Batch op statuses (see NestedTransactionDB.try_perform_batch /
@@ -126,27 +126,6 @@ BATCH_ERROR = "error"
 #: What :meth:`NestedTransactionDB._attempt_locked` returns for a request
 #: it cannot grant (a granted read may see any value, ``None`` included).
 _BLOCKED = object()
-
-
-def _begin_record(txn: Transaction, seq: int) -> TraceRecord:
-    """The ``create`` record of a begun transaction.  Snapshot top-levels
-    carry their horizon so certifiers can serialize them at the right
-    commit stamp."""
-    if txn.read_only and txn.parent is None:
-        return TraceRecord(
-            CREATE, txn.key, kind="snapshot", arg=txn.snapshot_horizon, seq=seq
-        )
-    return TraceRecord(CREATE, txn.key, seq=seq)
-
-
-def _commit_record(key: Key, seq: int, stamp: Optional[int]) -> TraceRecord:
-    """The ``commit`` record; a top-level's carries its commit stamp so
-    certifiers can reconstruct the committed state at any horizon."""
-    return TraceRecord(COMMIT, key, arg=stamp, seq=seq)
-
-
-def _abort_record(key: Key, seq: int) -> TraceRecord:
-    return TraceRecord(ABORT, key, seq=seq)
 
 
 def _event(cls: type, *fields: Any) -> Event:
@@ -253,10 +232,12 @@ class NestedTransactionDB:
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder() if config.record_trace else None
         )
-        # What latched steps have to say, in order, as ``(make, *fields)``
-        # — a trace record (fields plus the seq reserved under the latch)
-        # or an event — until an entry point delivers it after the latch
-        # (_publish).  Without a trace or a sink it stays empty.
+        # What latched steps have to say, in order — a trace row
+        # ``(op, txn, leaf, obj, kind, seen, arg, seq)`` with the seq
+        # reserved under the latch (TraceRecorder.publish_rows), or an
+        # event as ``(make, *fields)`` — until an entry point delivers it
+        # after the latch (_publish).  Without a trace or a sink it stays
+        # empty.
         self._outbox: Deque[Tuple[Any, ...]] = deque()
         self._object_waits: Dict[str, int] = {obj: 0 for obj in initial}
         # Online certification: "streaming" subscribes an incremental
@@ -493,7 +474,8 @@ class NestedTransactionDB:
         """Register a new transaction (latch held) and queue its
         ``create`` record and ``txn_begun`` event."""
         txn = Transaction(self, key, parent, read_only)
-        if read_only and parent is None:
+        snapshot = read_only and parent is None
+        if snapshot:
             # Pin the snapshot horizon under the latch: every commit
             # stamped <= horizon has fully merged into the base versions.
             txn.snapshot_horizon = self._commit_stamp
@@ -503,7 +485,15 @@ class NestedTransactionDB:
             parent.children.append(txn)
         self.stats.begun += 1
         if self.trace is not None:
-            self._outbox.append((_begin_record, txn, self.trace.reserve_seq()))
+            # A snapshot top-level's ``create`` carries its horizon, so
+            # certifiers serialize it at the right commit stamp.
+            self._outbox.append(
+                (CREATE, key, None, None, "snapshot", None,
+                 txn.snapshot_horizon, self.trace.reserve_seq())
+                if snapshot else
+                (CREATE, key, None, None, None, None, None,
+                 self.trace.reserve_seq())
+            )
         if self.events.enabled:
             self._outbox.append((_event, TxnBegun, txn, parent))
         return txn
@@ -568,8 +558,11 @@ class NestedTransactionDB:
                     min(horizons.values()) if horizons else stamp
                 )
         if self.trace is not None:
+            # A top-level's ``commit`` carries its stamp, so certifiers
+            # can rebuild the committed state at any horizon.
             self._outbox.append(
-                (_commit_record, txn.key, self.trace.reserve_seq(), stamp)
+                (COMMIT, txn.key, None, None, None, None, stamp,
+                 self.trace.reserve_seq())
             )
         inherited = tuple(txn.held_objects)
         self._inherit_locks(txn, stamp, prune_below)
@@ -715,7 +708,10 @@ class NestedTransactionDB:
         if txn.parent is None:
             self._snapshot_horizons.pop(key, None)
         if self.trace is not None:
-            self._outbox.append((_abort_record, key, self.trace.reserve_seq()))
+            self._outbox.append(
+                (ABORT, key, None, None, None, None, None,
+                 self.trace.reserve_seq())
+            )
         if self._waiters:
             self._wake_locked(txn.held_objects)
             self._withdraw_locked(txn)
@@ -734,26 +730,27 @@ class NestedTransactionDB:
     def _publish(self) -> None:
         """Deliver the outbox, latch *not* held: every entry point that
         changes the engine calls this on its way out, raise or not.  Items
-        are built here and delivered FIFO, a run of trace records as one
-        batch; ``popleft`` hands each item (another thread's, perhaps) to
-        exactly one publisher, with no second latch crossing."""
+        are delivered FIFO, a run of trace rows as one batch handed to the
+        recorder as they are (it builds records only for its listeners),
+        each event built here; ``popleft`` hands each item (another
+        thread's, perhaps) to exactly one publisher, with no second latch
+        crossing."""
         outbox = self._outbox
         while outbox:
-            records: List[TraceRecord] = []
+            rows: List[Tuple[Any, ...]] = []
             event: Optional[Event] = None
             while outbox:
                 try:
                     item = outbox.popleft()
                 except IndexError:  # a concurrent publisher took the last
                     break
-                built = item[0](*item[1:])
-                if built.__class__ is TraceRecord:
-                    records.append(built)
+                if item[0].__class__ is str:  # a trace row: its op first
+                    rows.append(item)
                 else:
-                    event = built
+                    event = item[0](*item[1:])
                     break
-            if records:
-                self.trace.publish_many(records)
+            if rows:
+                self.trace.publish_rows(rows)
             if event is not None:
                 self.events.emit(event)
 
@@ -926,8 +923,8 @@ class NestedTransactionDB:
             self.stats.snapshot_reads += 1
             if self.trace is not None:
                 self._outbox.append(
-                    (TraceRecord, PERFORM, txn.key, txn.next_access_key(kind), obj,
-                     kind, seen, None, self.trace.reserve_seq())
+                    (PERFORM, txn.key, txn.next_access_label(kind), obj, kind,
+                     seen, None, self.trace.reserve_seq())
                 )
             return seen
         record = self._objects.get(obj)
@@ -989,8 +986,8 @@ class NestedTransactionDB:
             kind, arg = "read", None
         if self.trace is not None:
             self._outbox.append(
-                (TraceRecord, PERFORM, key, txn.next_access_key(kind), obj, kind,
-                 seen, arg, self.trace.reserve_seq())
+                (PERFORM, key, txn.next_access_label(kind), obj, kind, seen,
+                 arg, self.trace.reserve_seq())
             )
         return seen
 

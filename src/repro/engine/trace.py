@@ -20,14 +20,29 @@ the JSONL form was always path lists.
 recording thread still holds the engine latch that serializes the
 corresponding state change, so reservations happen in the order the
 state changes did and the seq order respects per-object and lifecycle
-causality.  The :class:`TraceRecord` object
-itself is then constructed and **published off the critical path**,
-after the latch is released — every engine record, aborts included:
-publication order does not matter, because
+causality.  The record's fields are then **published off the critical
+path**, after the latch is released — every engine record, aborts
+included: publication order does not matter, because
 :attr:`TraceRecorder.records` and :meth:`TraceRecorder.dump` present
 records in seq order (late publications are re-sorted on read).  The
 convenience ``record_*`` methods reserve and publish in one step, which
 is equivalent to deferred publication with an empty deferral window.
+
+**Storage is columnar.**  The recorder keeps every record, but not as
+an object: one ``array('q')`` of seqs, one byte per record coding its
+``op`` and ``kind``, and a list per remaining field holding shared
+references — the transaction's path (one tuple per transaction, however
+many records name it), the object name, ``seen``, ``arg`` and the
+access.  An engine access is always ``txn + (label,)``, so the access
+column holds just the label (``"w13"`` comes from one table shared by
+every transaction, see ``Transaction.next_access_label``) and the path
+is rebuilt on read; an access that is not a child of its ``txn`` (a
+hand-built record, the cluster merger's) is kept as given.  A
+:class:`TraceRecord` is built only when someone reads one —
+:attr:`~TraceRecorder.records`, :meth:`~TraceRecorder.dump`, a live
+listener — so a trace nobody listens to builds none, and a certified
+program retains about 2.1 kB of trace instead of the 6.8 kB its records,
+access tuples and label strings took as objects (``docs/performance.md``).
 
 One consequence of deferral: a reader that snapshots :attr:`records`
 while operations are still in flight may observe seq gaps (reserved but
@@ -46,11 +61,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 import os
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, IO, List, Optional, Sequence, Tuple, Union
+from typing import Any, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.naming import ActionName
 
@@ -88,8 +104,9 @@ class TraceRecord:
     there is one stored form (render one with ``ActionName.make``).
 
     A value object: treat instances as immutable (derive variants with
-    ``dataclasses.replace``).  The engine builds one per traced event, so
-    the class is slotted with a hand-written ``__init__`` — a generated
+    ``dataclasses.replace``).  The recorder builds one per record read
+    and per record a live listener hears, so the class is slotted with a
+    hand-written ``__init__`` — a generated
     frozen ``__init__`` pays an ``object.__setattr__`` per field, five
     times the cost — and the fields are declared without class-level
     defaults because those would collide with ``__slots__``.
@@ -132,8 +149,74 @@ class TraceRecord:
                      self.seen, self.arg, self.seq))
 
 
+#: The ``op`` and ``kind`` a stored record may have: a record's code byte
+#: is ``op index * len(_KINDS) + kind index``.
+_OPS = (CREATE, PERFORM, COMMIT, ABORT)
+_KINDS = (None, "read", "write", "increment", "read_for_update", "snapshot")
+_OP_CODES = {op: index * len(_KINDS) for index, op in enumerate(_OPS)}
+_KIND_CODES = {kind: index for index, kind in enumerate(_KINDS)}
+_PAIRS = tuple((op, kind) for op in _OPS for kind in _KINDS)
+#: The code of a row the columns cannot hold (an ``op`` or ``kind``
+#: outside the tables, a seq that is not a 64-bit int): its record is
+#: kept whole, in the ``txn`` column.
+_WHOLE = 255
+#: What the seq column stores for ``seq=None``.
+_NO_SEQ = -(1 << 63)
+
+#: A record as the recorder stores it: ``(op, txn, leaf, obj, kind,
+#: seen, arg, seq)``.  ``leaf`` is ``None`` (no access), an atom (the
+#: access is ``txn + (leaf,)``) or a path tuple (the access as given).
+Row = Tuple[Any, ...]
+
+
+def _row(record: TraceRecord) -> Row:
+    """The row of a record: its access stored as a label when it is a
+    child of ``txn``, as given otherwise."""
+    txn, leaf = record.txn, record.access
+    if leaf is not None and txn.__class__ is tuple:
+        depth = len(txn)
+        if (len(leaf) == depth + 1 and leaf[depth].__class__ is not tuple
+                and leaf[:depth] == txn):
+            leaf = leaf[depth]
+    return (record.op, txn, leaf, record.obj, record.kind, record.seen,
+            record.arg, record.seq)
+
+
+_new_record = object.__new__
+
+
+def _record(op: str, txn: Path, leaf: Any, obj: Optional[str],
+            kind: Optional[str], seen: Any, arg: Any,
+            seq: Optional[int]) -> TraceRecord:
+    """The record a row stands for.  A row holds paths already, so the
+    slots are filled directly, skipping the constructor's conversions
+    and its slower call through ``type``: every record a listener hears
+    is built here."""
+    record = _new_record(TraceRecord)
+    record.op = op
+    record.txn = txn
+    record.access = (
+        None if leaf is None else leaf if leaf.__class__ is tuple
+        else txn + (leaf,)
+    )
+    record.obj = obj
+    record.kind = kind
+    record.seen = seen
+    record.arg = arg
+    record.seq = seq
+    return record
+
+
+def _sort_key(code: int, txn: Any, seq: int) -> int:
+    """A stored row's position key: its seq, ``-1`` for ``seq=None``."""
+    if code == _WHOLE:
+        seq = txn.seq
+        return -1 if seq is None else seq
+    return -1 if seq == _NO_SEQ else seq
+
+
 class TraceRecorder:
-    """An append-only linearized event log.
+    """An append-only linearized event log, stored as columns.
 
     Thread-safe.  Sequence numbers come from an atomic counter
     (:meth:`reserve_seq`) that engine threads bump while holding the
@@ -141,17 +224,32 @@ class TraceRecorder:
     appended under the recorder's own leaf lock — possibly later, from
     outside the critical section — and readers always see records in seq
     order (out-of-order publications are sorted on read).
+
+    Records are stored as a row across seven columns (see the module
+    docstring) and built as :class:`TraceRecord` s on read.  The columns
+    only ever grow in place; a sort or :meth:`clear` installs new ones,
+    so a reader that took the columns and a length under the lock may
+    build records from them after releasing it.
     """
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
         self._lock = threading.Lock()
         self._seq = itertools.count()
-        self._last_seq = -1
-        self._unsorted = False
         self._listeners: Tuple[Any, ...] = ()
         self.listener_errors = 0
         self.last_listener_error: Optional[BaseException] = None
+        self._reset()
+
+    def _reset(self) -> None:
+        self._seqs = array("q")
+        self._codes = bytearray()
+        self._txns: List[Any] = []
+        self._leaves: List[Any] = []
+        self._objs: List[Optional[str]] = []
+        self._seens: List[Any] = []
+        self._args: List[Any] = []
+        self._last_seq = -1
+        self._unsorted = False
 
     # -- listeners (live trace subscribers) --------------------------------
 
@@ -165,11 +263,11 @@ class TraceRecorder:
         listener is contained (counted, never propagated) — the same
         contract as event sinks; ``NestedTransactionDB.assert_certified``
         refuses to certify a stream whose listener raised.  ``many``, when
-        given, is the listener's batch form: :meth:`publish_many` hands it
-        the whole batch in one call (so a consumer with its own lock takes
-        it once per batch) instead of calling ``listener`` per record.
-        The streaming certifier subscribes here when the engine is built
-        with ``certify="streaming"``.
+        given, is the listener's batch form: a batch published at once
+        is handed to it in one call (so a consumer with its own lock
+        takes it once per batch) instead of calling ``listener`` per
+        record.  The streaming certifier subscribes here when the engine
+        is built with ``certify="streaming"``.
         """
         with self._lock:
             self._listeners = self._listeners + ((listener, many),)
@@ -198,39 +296,74 @@ class TraceRecorder:
         """Append a record whose ``seq`` was previously reserved.  Safe
         to call after the reserving critical section released its latch;
         ordering is recovered from ``seq`` on read."""
-        with self._lock:
-            seq = record.seq
-            if seq is None or seq <= self._last_seq:
-                self._unsorted = True
-            else:
-                self._last_seq = seq
-            self._records.append(record)
-        for listener, _many in self._listeners:
-            try:
-                listener(record)
-            except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
-                self._listener_failed(error)
+        self.publish_rows((_row(record),), (record,))
 
     def publish_many(self, records: Sequence[TraceRecord]) -> None:
         """:meth:`publish` for a batch: one crossing of the recorder's
         leaf lock, and one call per listener that registered a batch
-        form.  A batch of one is published as one record (the blocking
-        API's usual delivery), which spares the batch bookkeeping."""
-        if len(records) <= 1:
-            if records:
-                self.publish(records[0])
-            return
+        form."""
+        if records:
+            self.publish_rows([_row(record) for record in records], records)
+
+    def publish_rows(
+        self,
+        rows: Sequence[Row],
+        records: Optional[Sequence[TraceRecord]] = None,
+    ) -> None:
+        """:meth:`publish_many` for records given as their fields — the
+        engine's form.  Each row is ``(op, txn, leaf, obj, kind, seen,
+        arg, seq)``: ``txn`` a path tuple, ``leaf`` ``None`` (no access),
+        an atom (the access is ``txn + (leaf,)``) or a path tuple (the
+        access itself).  The rows are stored, then their records —
+        ``records`` when the caller has them, else built here, and only
+        if a listener is subscribed — handed to the listeners: a batch of
+        one as one record (the blocking API's usual delivery)."""
         with self._lock:
+            seqs, codes = self._seqs, self._codes
+            txns, leaves, objs = self._txns, self._leaves, self._objs
+            seens, args = self._seens, self._args
             last = self._last_seq
-            for record in records:
-                seq = record.seq
-                if seq is None or seq <= last:
-                    self._unsorted = True
-                else:
-                    last = seq
-            self._last_seq = last
-            self._records.extend(records)
-        for listener, many in self._listeners:
+            try:
+                for op, txn, leaf, obj, kind, seen, arg, seq in rows:
+                    if seq is None:
+                        self._unsorted = True
+                        stored = _NO_SEQ
+                    elif seq <= last:
+                        self._unsorted = True
+                        # The int that codes None is kept whole.
+                        stored = None if seq == _NO_SEQ else seq
+                    else:
+                        last = stored = seq
+                    try:
+                        code = _OP_CODES[op] + _KIND_CODES[kind]
+                        seqs.append(stored)
+                    except (KeyError, TypeError, OverflowError):
+                        seqs.append(0)
+                        code = _WHOLE
+                        txn = _record(op, txn, leaf, obj, kind, seen, arg, seq)
+                        leaf = obj = seen = arg = None
+                    codes.append(code)
+                    txns.append(txn)
+                    leaves.append(leaf)
+                    objs.append(obj)
+                    seens.append(seen)
+                    args.append(arg)
+            finally:
+                self._last_seq = last
+            listeners = self._listeners
+        if not listeners or not rows:
+            return
+        if len(rows) == 1:
+            record = _record(*rows[0]) if records is None else records[0]
+            for listener, _many in listeners:
+                try:
+                    listener(record)
+                except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
+                    self._listener_failed(error)
+            return
+        if records is None:
+            records = [_record(*row) for row in rows]
+        for listener, many in listeners:
             if many is not None:
                 try:
                     many(records)
@@ -267,26 +400,54 @@ class TraceRecorder:
             TraceRecord(PERFORM, txn, access, obj, kind, seen, arg, next(self._seq))
         )
 
-    @property
-    def records(self) -> Tuple[TraceRecord, ...]:
+    # -- reading -----------------------------------------------------------
+
+    def _sort_locked(self) -> None:
+        """Install the columns in seq order (``None`` first, ties in
+        publication order) — new columns, never a reorder in place."""
+        seqs, codes, txns = self._seqs, self._codes, self._txns
+        order = sorted(
+            range(len(seqs)),
+            key=lambda i: _sort_key(codes[i], txns[i], seqs[i]),
+        )
+        self._seqs = array("q", [seqs[i] for i in order])
+        self._codes = bytearray([codes[i] for i in order])
+        self._txns = [txns[i] for i in order]
+        self._leaves = [self._leaves[i] for i in order]
+        self._objs = [self._objs[i] for i in order]
+        self._seens = [self._seens[i] for i in order]
+        self._args = [self._args[i] for i in order]
+        self._unsorted = False
+
+    def _iter_records(self) -> Iterator[TraceRecord]:
+        """Build the records in seq order, one at a time, from the
+        columns as they stand when iteration starts."""
         with self._lock:
             if self._unsorted:
-                self._records.sort(
-                    key=lambda r: -1 if r.seq is None else r.seq
-                )
-                self._unsorted = False
-            return tuple(self._records)
+                self._sort_locked()
+            count = len(self._seqs)
+            columns = (self._codes, self._txns, self._leaves, self._objs,
+                       self._seens, self._args, self._seqs)
+        for _, code, txn, leaf, obj, seen, arg, seq in zip(range(count), *columns):
+            if code == _WHOLE:
+                yield txn
+                continue
+            op, kind = _PAIRS[code]
+            yield _record(op, txn, leaf, obj, kind, seen, arg,
+                          None if seq == _NO_SEQ else seq)
+
+    @property
+    def records(self) -> Tuple[TraceRecord, ...]:
+        return tuple(self._iter_records())
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._seqs)
 
     def clear(self) -> None:
         with self._lock:
-            self._records.clear()
+            self._reset()
             self._seq = itertools.count()
-            self._last_seq = -1
-            self._unsorted = False
 
     # -- persistence (JSON lines) ---------------------------------------------
 
@@ -325,28 +486,31 @@ class TraceRecorder:
                     pass
                 raise
             return
-        for record in self.records:  # seq-sorted snapshot
+        for record in self._iter_records():  # seq order, built one by one
             destination.write(
                 json.dumps(_record_to_json(record), ensure_ascii=False) + "\n"
             )
 
     @classmethod
     def load(cls, source: Union[str, IO[str]]) -> "TraceRecorder":
-        """Read a trace previously written by :meth:`dump`."""
+        """Read a trace previously written by :meth:`dump`; records read
+        back in file order."""
         if isinstance(source, str):
             with open(source, encoding="utf-8") as fh:
                 return cls.load(fh)
         recorder = cls()
+        top: Optional[int] = None
         for line in source:
             line = line.strip()
             if line:
-                recorder._records.append(_record_from_json(json.loads(line)))
-        if recorder._records:
-            top = max(
-                (r.seq for r in recorder._records if r.seq is not None),
-                default=len(recorder._records) - 1,
-            )
-            recorder._seq = itertools.count(top + 1)
+                record = _record_from_json(json.loads(line))
+                recorder.publish_rows((_row(record),))
+                if record.seq is not None and (top is None or record.seq > top):
+                    top = record.seq
+        count = len(recorder)
+        if count:
+            recorder._unsorted = False  # file order, as written
+            recorder._seq = itertools.count((count - 1 if top is None else top) + 1)
         return recorder
 
 

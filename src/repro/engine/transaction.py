@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterator,
     List,
     Optional,
     Sequence,
     Set,
+    Tuple,
     TYPE_CHECKING,
 )
 
@@ -32,6 +34,31 @@ from .storage import Key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import NestedTransactionDB
+
+
+#: Access labels by kind initial (``"r"`` → ``("r0", "r1", ...)``),
+#: shared by every transaction.  A table is only ever replaced by a longer
+#: one with the same prefix, so a reader holding either reads right.
+_ACCESS_LABELS: Dict[str, Tuple[str, ...]] = {}
+_ACCESS_LABELS_LOCK = threading.Lock()
+#: Labels past this count are formatted on demand, not kept: the table
+#: outlives every engine and trace.
+_ACCESS_LABELS_MAX = 4096
+
+
+def _access_label(initial: str, count: int) -> str:
+    """The label of access ``count`` of kind ``initial``, growing its
+    table (by doubling) while it stays within ``_ACCESS_LABELS_MAX``."""
+    if count >= _ACCESS_LABELS_MAX:
+        return "%s%d" % (initial, count)
+    with _ACCESS_LABELS_LOCK:
+        table = _ACCESS_LABELS.get(initial, ())
+        if count >= len(table):
+            size = min(max(64, 2 * len(table), count + 1), _ACCESS_LABELS_MAX)
+            table = _ACCESS_LABELS[initial] = tuple(
+                "%s%d" % (initial, index) for index in range(size)
+            )
+        return table[count]
 
 
 @dataclass
@@ -113,13 +140,19 @@ class Transaction:
         """Reflexive, as the paper's ``anc``: a tuple-prefix test."""
         return other.key[: len(self.key)] == self.key
 
-    def next_access_key(self, kind: str) -> Key:
-        """The path of this transaction's next access leaf: labels are
-        ``r0`` / ``w1`` / ``i2`` (kind initial, then a per-transaction
-        counter), so a replay of the same operations names them alike."""
-        label = "%s%d" % (kind[0], self._access_counter)
-        self._access_counter += 1
-        return self.key + (label,)
+    def next_access_label(self, kind: str) -> str:
+        """The label of this transaction's next access leaf, whose path
+        is ``key + (label,)``: ``r0`` / ``w1`` / ``i2`` (kind initial,
+        then a per-transaction counter), so a replay of the same
+        operations names them alike.  Labels come from one table per
+        kind initial shared by every transaction, so a traced access
+        makes no new string."""
+        count = self._access_counter
+        self._access_counter = count + 1
+        try:
+            return _ACCESS_LABELS[kind[0]][count]
+        except (KeyError, IndexError):
+            return _access_label(kind[0], count)
 
     # -- data operations -----------------------------------------------------
 

@@ -5,6 +5,7 @@ files, and the standalone RecoveryManager."""
 import json
 import os
 import struct
+import threading
 import zlib
 
 import pytest
@@ -213,6 +214,47 @@ def test_sync_batches_pending_commits(tmp_path):
 
     assert wal.sync(last) == 0  # already durable: no extra fsync
     assert len(fsyncs) == 1
+    wal.close()
+
+
+def test_append_does_not_wait_for_another_threads_fsync(tmp_path):
+    """An fsync runs off the append lock: ``append_commit`` (called under
+    the engine latch) returns while another thread's fsync is parked,
+    and the parked fsync still makes its own commits durable."""
+    parked = threading.Event()
+    release = threading.Event()
+    blocking = [False]
+
+    def blocking_fsync(fd):
+        os.fstat(fd)  # a live descriptor, not one closed under it
+        if blocking[0]:
+            parked.set()
+            assert release.wait(10)
+
+    wal = WriteAheadLog(wal_dir(tmp_path), fsync_fn=blocking_fsync)
+    first = wal.append_commit(T1, {"x": 1})
+    blocking[0] = True
+    syncer = threading.Thread(target=wal.sync, args=(first,), daemon=True)
+    syncer.start()
+    assert parked.wait(10)
+    appended = []
+    appender = threading.Thread(
+        target=lambda: appended.append(
+            wal.append_commit(ActionName((2,)), {"x": 2})
+        ),
+        daemon=True,
+    )
+    appender.start()
+    appender.join(2)
+    returned_while_parked = not appender.is_alive()
+    release.set()
+    syncer.join(10)
+    appender.join(10)
+    assert returned_while_parked
+    assert appended and appended[0] > first
+    assert wal.durable_lsn >= first
+    blocking[0] = False
+    assert wal.sync(appended[0]) == 1
     wal.close()
 
 
