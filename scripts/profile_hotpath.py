@@ -32,10 +32,16 @@ program mints no name.  ``--certified`` also prints the trace bytes a
 certified program leaves retained — what ``tracemalloc`` sees freed
 when the finished run's trace is cleared, per program: the trace is
 stored as columns, about 2.1 kB a program (its records as objects took
-6.8 kB).  ``--count-only`` stops after the counts and exits non-zero
-unless every name count is zero and the retained trace stays within
-``TRACE_BYTES_PER_PROGRAM_MAX`` — the deterministic guards the
-``perf-smoke`` CI job runs on both shapes.
+6.8 kB), and how many times the trace reached the recorder
+(``TraceRecorder.publish_rows`` calls) and the streaming certifier (calls
+of its ``feed`` / ``feed_many`` / ``feed_rows``) per committed program:
+the engine delivers a top-level's rows in one piece when it finishes, so
+both read exactly 1 (per-record delivery read 30 and 30).
+``--count-only`` stops after the counts and exits non-zero unless every
+name count is zero, the retained trace stays within
+``TRACE_BYTES_PER_PROGRAM_MAX`` and both delivery counts are exactly 1
+— the deterministic guards the ``perf-smoke`` CI job runs on both
+shapes.
 
 ``--served`` runs 256 concurrent sessions (two increments and a read;
 10 % read three objects) through ``AsyncFrontend`` over a certified
@@ -254,6 +260,52 @@ def trace_bytes_per_program(txns: int, objects: int) -> float:
         "trace retained by the certified nested path: %d bytes for %d txns "
         "(%.0f B/txn, at most %d)"
         % (freed, txns, per_program, TRACE_BYTES_PER_PROGRAM_MAX)
+    )
+    return per_program
+
+
+#: The streaming certifier's entry points, each counted as one ingest call.
+CERTIFIER_FEEDS = ("feed", "feed_many", "feed_rows")
+
+
+def count_deliveries(txns: int, objects: int) -> Dict[str, float]:
+    """Run the certified nested workload counting ``publish_rows`` calls
+    (deliveries to the recorder) and calls into the certifier's feed
+    entry points (ingest calls), and print and return each per
+    committed program.  A count of a single-threaded seeded run: it
+    repeats exactly."""
+    from repro.checker.streaming import StreamingCertifier
+    from repro.engine.trace import TraceRecorder
+
+    counts = {"deliveries": 0, "ingests": 0}
+
+    def counted(label, real):
+        def shim(*args, **kwargs):
+            counts[label] += 1
+            return real(*args, **kwargs)
+
+        return shim
+
+    # Patched on the classes before the engine subscribes its certifier,
+    # so the bound methods it hands the recorder are the shims.
+    patched = [(TraceRecorder, "publish_rows", "deliveries")] + [
+        (StreamingCertifier, name, "ingests") for name in CERTIFIER_FEEDS
+    ]
+    originals = [(cls, name, cls.__dict__[name]) for cls, name, _ in patched]
+    for cls, name, label in patched:
+        setattr(cls, name, counted(label, getattr(cls, name)))
+    try:
+        db = run_nested(txns, objects, True)
+    finally:
+        for cls, name, real in originals:
+            setattr(cls, name, real)
+    # Single-threaded and conflict-free: every program commits first try.
+    per_program = {label: count / txns for label, count in counts.items()}
+    print(
+        "trace deliveries on the certified nested path: %d programs, "
+        "%.2f publish_rows calls and %.2f certifier ingest calls per "
+        "program (exactly 1 each)"
+        % (txns, per_program["deliveries"], per_program["ingests"])
     )
     return per_program
 
@@ -512,7 +564,8 @@ def main(argv=None) -> int:
         help="with --nested/--certified: print the counts and skip the "
         "profile; exit 1 unless every name count is zero (--nested: bare "
         "and durable) and, with --certified, the trace retained per "
-        "program is at most %d bytes.  With --served: exit "
+        "program is at most %d bytes and the trace reaches the recorder "
+        "and the certifier exactly once per program.  With --served: exit "
         "1 unless loop wake-ups per committed txn are below 1.  With --cluster: "
         "exit 1 unless round trips per committed txn are exactly 3 "
         "(single-site) and 6 (cross-site)" % TRACE_BYTES_PER_PROGRAM_MAX,
@@ -590,6 +643,13 @@ def main(argv=None) -> int:
                 print("FAIL: the trace retains %.0f B per certified program "
                       "(at most %d)" % (retained, TRACE_BYTES_PER_PROGRAM_MAX))
                 failed = True
+            for label, per_program in count_deliveries(
+                args.txns, args.objects
+            ).items():
+                if per_program != 1:
+                    print("FAIL: %.2f trace %s per certified program "
+                          "(exactly 1)" % (per_program, label))
+                    failed = True
         if args.count_only:
             return 1 if failed else 0
 

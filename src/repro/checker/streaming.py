@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.action_tree import ABORTED, ACTIVE, COMMITTED
@@ -83,8 +84,10 @@ from ..engine.trace import (
     CREATE,
     PERFORM,
     Path,
+    Row,
     TraceRecord,
     _record_from_json,
+    _row,
 )
 from .history import OracleViolation, _name
 from .window import ReorderBuffer, RetirementClock
@@ -158,14 +161,15 @@ class StreamingReport:
 
 
 class _Access:
-    """One perform record riding through the window.  ``access`` is its
-    path and ``owner`` its transaction's (the record's ``txn``)."""
+    """One perform row riding through the window.  ``owner`` is its
+    transaction's path (the row's ``txn``) and ``leaf`` the row's leaf:
+    a label (the access is ``owner + (leaf,)``) or the access's path."""
 
-    __slots__ = ("access", "owner", "top", "obj", "kind", "seen", "arg",
+    __slots__ = ("leaf", "owner", "top", "obj", "kind", "seen", "arg",
                  "seq", "fate")
 
-    def __init__(self, access, owner, top, obj, kind, seen, arg, seq):
-        self.access = access
+    def __init__(self, leaf, owner, top, obj, kind, seen, arg, seq):
+        self.leaf = leaf
         self.owner = owner
         self.top = top  # the owning _TopTxn; unlinked at retirement
         self.obj = obj
@@ -174,6 +178,11 @@ class _Access:
         self.arg = arg
         self.seq = seq
         self.fate: Optional[bool] = None  # None = unknown; True = permanent
+
+    @property
+    def access(self) -> Path:
+        """The access's path, built when read (names, family checks)."""
+        return _access_path(self.owner, self.leaf)
 
 
 class _TopTxn:
@@ -209,15 +218,19 @@ class StreamingCertifier:
 
     ``initial`` is the a-priori value assignment replay starts from (for
     a recovered engine: the recovered values, exactly as the offline
-    oracle uses ``db.initial_values``).  Feed it :class:`TraceRecord`
-    instances (:meth:`feed` / :meth:`feed_many`) or their JSONL dict form
-    (:meth:`feed_dict`); read ``violations`` at any time, and call
+    oracle uses ``db.initial_values``).  Feed it trace rows as the
+    recorder stores them (:meth:`feed_rows`, the engine's delivery: the
+    rows of the top-levels that just finished), :class:`TraceRecord`
+    instances (:meth:`feed` / :meth:`feed_many`) or their JSONL dict
+    form (:meth:`feed_dict`); read ``violations`` at any time, and call
     :meth:`finish` at end of stream for the final report (unresolved
     transactions are then treated as non-permanent, matching ``perm(T)``).
 
-    Records carry path tuples and the certifier works on them directly —
-    no :class:`ActionName` is constructed or interned while certifying;
-    names are rendered for a :class:`Violation` alone.
+    Every form is ingested as rows, which carry path tuples, and the
+    certifier works on them directly — no :class:`TraceRecord` is built
+    for the rows it is fed and no :class:`ActionName` is constructed or
+    interned while certifying; names are rendered for a
+    :class:`Violation` alone.
     """
 
     def __init__(self, initial: Mapping[str, Any]) -> None:
@@ -234,7 +247,7 @@ class StreamingCertifier:
         self._committed_stamp = 0
         #: Horizons of still-active snapshot transactions (prune floor).
         self._active_horizons: Dict[_TopTxn, int] = {}
-        self._reorder: ReorderBuffer[TraceRecord] = ReorderBuffer()
+        self._reorder: ReorderBuffer[Row] = ReorderBuffer(seq_of=itemgetter(7))
         self._clock = RetirementClock()
         self._seq_clock = -1  # last ingested seq (arrival-ordered fallback)
         #: Unretired tops by top-level label (``path[0]``); evicted
@@ -278,27 +291,44 @@ class StreamingCertifier:
     def feed(self, record: TraceRecord) -> None:
         """Consume one trace record (any thread; possibly out of seq
         order — a reorder window restores the published linearization)."""
+        row = _row(record)
         with self._lock:
             if self._finished:
                 raise RuntimeError("certifier already finished")
-            if self._reorder.ready(record.seq):  # in order: no buffering
-                self._ingest(record)
+            if self._reorder.ready(row[7]):  # in order: no buffering
+                self._ingest(row)
             else:
-                for rec in self._reorder.push(record.seq, record):
-                    self._ingest(rec)
+                for ready in self._reorder.push(row[7], row):
+                    self._ingest(ready)
 
     def feed_many(self, records: Sequence[TraceRecord]) -> None:
-        """:meth:`feed` for a batch, under one crossing of the lock."""
+        """:meth:`feed` for a batch in any order, under one crossing of
+        the lock."""
+        rows = [_row(record) for record in records]
         with self._lock:
             if self._finished:
                 raise RuntimeError("certifier already finished")
             ready, push = self._reorder.ready, self._reorder.push
-            for record in records:
-                if ready(record.seq):
-                    self._ingest(record)
+            for row in rows:
+                if ready(row[7]):
+                    self._ingest(row)
                 else:
-                    for rec in push(record.seq, record):
-                        self._ingest(rec)
+                    for held in push(row[7], row):
+                        self._ingest(held)
+
+    def feed_rows(self, rows: Sequence[Row]) -> None:
+        """The row form (``TraceRecorder.add_listener(..., rows=...)``):
+        consume rows ``(op, txn, leaf, obj, kind, seen, arg, seq)`` given
+        in ascending seq order — a finished top-level's family, or
+        several merged by seq, as the engine delivers them — in one
+        locked pass.  The rows are held as one run while a gap before
+        them is open, and ingested as they are."""
+        with self._lock:
+            if self._finished:
+                raise RuntimeError("certifier already finished")
+            ingest = self._ingest
+            for row in self._reorder.push_run(rows):
+                ingest(row)
 
     def feed_dict(self, data: Mapping[str, Any]) -> None:
         """Consume one JSONL-decoded trace record (the ``dump`` format of
@@ -364,31 +394,53 @@ class StreamingCertifier:
     def _flag(self, violation: Violation) -> None:
         self._violations.append(violation)
 
-    def _ingest(self, rec: TraceRecord) -> None:
+    def _ingest(self, row: Row) -> None:
+        op, path, leaf, obj, kind, seen, arg, seq = row
         self.records += 1
-        seq = rec.seq
         if seq is not None and seq > self._seq_clock:
             self._seq_clock = seq
         else:
             self._seq_clock += 1
-        op = rec.op
         if op == PERFORM:
-            self._ingest_perform(rec)
+            top = self._tops.get(path[0]) if path else None
+            if top is None or leaf is None or obj is None:
+                self._flag(Violation(
+                    PROTOCOL,
+                    "perform %r on %r outside any known top-level transaction"
+                    % (None if leaf is None else _name(_access_path(path, leaf)),
+                       obj),
+                    seq=seq, obj=obj, txns=(_name(path),),
+                ))
+                return
+            acc = _Access(leaf, path, top, obj, kind, seen, arg, seq)
+            top.accesses.append(acc)
+            if top.snapshot_horizon is not None:
+                self._check_snapshot_perform(top, acc)
+                return
+            top.objects.add(obj)
+            queue = self._pending.get(obj)
+            if queue is None:
+                self._pending[obj] = [acc]
+            else:
+                queue.append(acc)
+            self._pending_count += 1
+            if self._pending_count > self.max_pending_accesses:
+                self.max_pending_accesses = self._pending_count
         elif op == CREATE:
-            self._ingest_create(rec, self._seq_clock)
+            self._ingest_create(path, kind, arg, seq, self._seq_clock)
         elif op == COMMIT:
-            self._ingest_resolution(rec, COMMITTED, self._seq_clock)
+            self._ingest_resolution(path, COMMITTED, arg, seq, self._seq_clock)
         elif op == ABORT:
-            self._ingest_resolution(rec, ABORTED, self._seq_clock)
+            self._ingest_resolution(path, ABORTED, arg, seq, self._seq_clock)
         else:
             self._flag(Violation(
                 PROTOCOL, "unknown trace op %r" % (op,), seq=seq,
             ))
 
-    def _ingest_create(self, rec: TraceRecord, now: int) -> None:
-        path = rec.txn
+    def _ingest_create(self, path: Path, kind: Optional[str], arg: Any,
+                       seq: Optional[int], now: int) -> None:
         if not path:
-            self._flag(Violation(PROTOCOL, "create of U", seq=rec.seq))
+            self._flag(Violation(PROTOCOL, "create of U", seq=seq))
             return
         top = self._tops.get(path[0])
         if len(path) == 1:
@@ -399,16 +451,12 @@ class StreamingCertifier:
                 self._flag(Violation(
                     PROTOCOL,
                     "create of already-active transaction %r" % (name,),
-                    seq=rec.seq, txns=(name,),
+                    seq=seq, txns=(name,),
                 ))
                 return
             top = _TopTxn(path)
-            if rec.kind == "snapshot":
-                horizon = (
-                    rec.arg
-                    if isinstance(rec.arg, int)
-                    else self._committed_stamp
-                )
+            if kind == "snapshot":
+                horizon = arg if isinstance(arg, int) else self._committed_stamp
                 top.snapshot_horizon = horizon
                 self._active_horizons[top] = horizon
             self._tops[path[0]] = top
@@ -420,39 +468,10 @@ class StreamingCertifier:
             self._flag(Violation(
                 PROTOCOL,
                 "create of %r under unknown top-level transaction" % (name,),
-                seq=rec.seq, txns=(name,),
+                seq=seq, txns=(name,),
             ))
         else:
             top.nested[path] = ACTIVE
-
-    def _ingest_perform(self, rec: TraceRecord) -> None:
-        path = rec.txn
-        top = self._tops.get(path[0]) if path else None
-        obj = rec.obj
-        if top is None or rec.access is None or obj is None:
-            self._flag(Violation(
-                PROTOCOL,
-                "perform %r on %r outside any known top-level transaction"
-                % (_name(rec.access), obj),
-                seq=rec.seq, obj=obj, txns=(_name(path),),
-            ))
-            return
-        acc = _Access(
-            rec.access, path, top, obj, rec.kind, rec.seen, rec.arg, rec.seq
-        )
-        top.accesses.append(acc)
-        if top.snapshot_horizon is not None:
-            self._check_snapshot_perform(top, acc)
-            return
-        top.objects.add(obj)
-        queue = self._pending.get(obj)
-        if queue is None:
-            self._pending[obj] = [acc]
-        else:
-            queue.append(acc)
-        self._pending_count += 1
-        if self._pending_count > self.max_pending_accesses:
-            self.max_pending_accesses = self._pending_count
 
     def _check_snapshot_perform(self, top: _TopTxn, acc: _Access) -> None:
         """A snapshot transaction's access: validated eagerly against the
@@ -495,10 +514,10 @@ class StreamingCertifier:
                 return value
         return history[0][1]
 
-    def _ingest_resolution(self, rec: TraceRecord, status: str, now: int) -> None:
-        path = rec.txn
+    def _ingest_resolution(self, path: Path, status: str, arg: Any,
+                           seq: Optional[int], now: int) -> None:
         if not path:
-            self._flag(Violation(PROTOCOL, "%s of U" % status, seq=rec.seq))
+            self._flag(Violation(PROTOCOL, "%s of U" % status, seq=seq))
             return
         top = self._tops.get(path[0])
         if top is None:
@@ -507,7 +526,7 @@ class StreamingCertifier:
                      else "%r under unknown top-level transaction")
             self._flag(Violation(
                 PROTOCOL, ("%s of " + where) % (status, name),
-                seq=rec.seq, txns=(name,),
+                seq=seq, txns=(name,),
             ))
         elif len(path) > 1:
             top.nested[path] = status
@@ -516,12 +535,12 @@ class StreamingCertifier:
             self._flag(Violation(
                 PROTOCOL,
                 "%s of already-%s transaction %r" % (status, top.status, name),
-                seq=rec.seq, txns=(name,),
+                seq=seq, txns=(name,),
             ))
         else:
             self._resolve_top(
                 top, status, now,
-                stamp=rec.arg if status == COMMITTED else None,
+                stamp=arg if status == COMMITTED else None,
             )
             self._retire()
 
@@ -668,15 +687,15 @@ class StreamingCertifier:
         if not queue:
             return
         applied = self._applied.get(obj)
-        popped = 0
+        popped = permanent = 0
         for acc in queue:
-            if acc.fate is None:
+            fate = acc.fate
+            if fate is None:
                 break
             popped += 1
-            if not acc.fate:
-                self.dropped_accesses += 1
+            if not fate:
                 continue
-            self.permanent_accesses += 1
+            permanent += 1
             kind = acc.kind
             if obj not in self._values:
                 if obj not in self._warned_objects:
@@ -716,6 +735,8 @@ class StreamingCertifier:
             self._applied_count += 1
             if self._applied_count > self.max_applied_accesses:
                 self.max_applied_accesses = self._applied_count
+        self.permanent_accesses += permanent
+        self.dropped_accesses += popped - permanent
         self._pending_count -= popped
         if popped == len(queue):
             del self._pending[obj]
@@ -732,7 +753,7 @@ class StreamingCertifier:
         out = self._succ.setdefault(a, {})
         if b in out:
             return
-        out[b] = (c.access, d.access, c.obj)
+        out[b] = (c, d)
         self._pred.setdefault(b, set()).add(a)
         self._edge_count += 1
         if self._edge_count > self.max_graph_edges:
@@ -822,7 +843,20 @@ class StreamingCertifier:
     # -- retirement --------------------------------------------------------
 
     def _retire(self) -> None:
-        for top in self._clock.retire_ready():
+        ready = self._clock.retire_ready()
+        if ready and not self._clock.live_count():
+            # The window emptied: everything it held belonged to the tops
+            # retiring now, so it is dropped whole, not object by object.
+            for top in ready:
+                top.accesses.clear()
+                top.snapshot_failures.clear()
+            self._tops.clear()
+            self._applied.clear()
+            self._succ.clear()
+            self._pred.clear()
+            self._applied_count = self._edge_count = 0
+            return
+        for top in ready:
             label = top.path[0]
             if self._tops.get(label) is top:
                 del self._tops[label]
@@ -853,6 +887,11 @@ class StreamingCertifier:
                     self._edge_count -= 1
                     if not out:
                         del self._succ[a]
+
+
+def _access_path(txn: Path, leaf: Any) -> Path:
+    """The access path a row's ``leaf`` stands for (see ``_Access``)."""
+    return leaf if leaf.__class__ is tuple else txn + (leaf,)
 
 
 def _conflict(first: str, second: str) -> bool:

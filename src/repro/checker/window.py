@@ -4,9 +4,11 @@ Two small, self-contained pieces:
 
 * :class:`ReorderBuffer` — the engine reserves trace sequence numbers
   inside its latches but *publishes* the records off the critical path,
-  so a live subscriber can observe them slightly out of seq order.  The
-  buffer holds early arrivals and releases records in exact seq order,
-  the order every certification argument is stated in.
+  one top-level transaction's rows at a time when it commits or aborts,
+  so a live subscriber sees them out of seq order whenever top-level
+  transactions overlap.  The buffer holds early arrivals — each
+  top-level's rows as one sorted run — and releases records in exact
+  seq order, the order every certification argument is stated in.
 
 * :class:`RetirementClock` — the watermark rule that gives the streaming
   checker bounded memory.  A top-level transaction's window state (its
@@ -24,30 +26,51 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable, Deque, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 T = TypeVar("T")
 
 
 class ReorderBuffer(Generic[T]):
-    """Release ``(seq, item)`` pairs in contiguous seq order.
+    """Release items in contiguous seq order.
 
-    ``push`` returns the items that became releasable (the pushed one
-    included, when its turn has come).  Items with ``seq=None`` — hand
-    built trace records — bypass ordering and are released immediately.
-    ``drain`` releases everything still buffered, in seq order, for
-    end-of-stream flushes where the missing seqs will never arrive.
+    Items arrive one at a time (:meth:`push`, with their seq) or as a
+    *run* (:meth:`push_run`): a sequence already in ascending seq order,
+    such as one top-level transaction's trace rows as the engine
+    delivers them, whose seqs the buffer reads with the ``seq_of`` it
+    was built with.  A run is held as one unit and the buffer merges
+    runs, so a run that arrives in turn is released whole after one
+    comparison of its first and last seq, and a run held behind a gap
+    costs one heap step per stretch of consecutive seqs it releases,
+    not one per item.
+
+    ``push`` and ``push_run`` return the items that became releasable
+    (what was pushed included, when its turn has come).  Items with
+    ``seq=None`` — hand built trace records — bypass ordering when
+    pushed on their own.  An item whose seq was already released (a
+    duplicate, or a re-fed stream) is delivered in place rather than
+    buffered forever behind an impossible gap.  ``drain`` releases
+    everything still buffered, in seq order, for end-of-stream flushes
+    where the missing seqs will never arrive.
     """
 
-    def __init__(self, start: int = 0) -> None:
+    def __init__(self, start: int = 0,
+                 seq_of: Optional[Callable[[T], int]] = None) -> None:
         self._next = start
-        self._heap: List[Tuple[int, int, T]] = []
-        self._tiebreak = 0  # heap stability for equal (duplicate) seqs
-        #: Most items held at once, the one being pushed included.
+        self._seq_of = seq_of
+        #: Held runs as ``(seq of the run's head, tiebreak, head index,
+        #: run)``; the tiebreak keeps equal (duplicate) seqs stable.
+        self._heap: List[Tuple[int, int, int, Sequence[T]]] = []
+        self._tiebreak = 0
+        self._held = 0
+        #: Most items held at once, counting an item or run pushed out of
+        #: turn (an in-turn arrival counts one).
         self.buffered_high_water = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._held
 
     def ready(self, seq: Optional[int]) -> bool:
         """Whether an item with ``seq`` is released the moment it arrives
@@ -64,31 +87,80 @@ class ReorderBuffer(Generic[T]):
             if not self.buffered_high_water:
                 self.buffered_high_water = 1
             return True
-        # Duplicate or stale seq (a re-fed stream): deliver in place
-        # rather than buffering forever behind an impossible gap.
         return seq < self._next
 
     def push(self, seq: Optional[int], item: T) -> List[T]:
         if self.ready(seq):
             return [item]
+        return self._hold(seq, (item,))
+
+    def push_run(self, run: Sequence[T]) -> Sequence[T]:
+        """Hand over a run — items in ascending seq order, every seq an
+        int — and return what became releasable, in seq order."""
+        count = len(run)
+        if not count:
+            return run
+        seq_of = self._seq_of
+        first = seq_of(run[0])
+        if (first == self._next and not self._heap
+                and seq_of(run[-1]) == first + count - 1):
+            # In turn and gapless: released whole, nothing held.
+            self._next = first + count
+            if not self.buffered_high_water:
+                self.buffered_high_water = 1
+            return run
+        return self._hold(first, run)
+
+    def _hold(self, first: int, run: Sequence[T]) -> List[T]:
         self._tiebreak += 1
-        heapq.heappush(self._heap, (seq, self._tiebreak, item))
-        if len(self._heap) > self.buffered_high_water:
-            self.buffered_high_water = len(self._heap)
+        heapq.heappush(self._heap, (first, self._tiebreak, 0, run))
+        self._held += len(run)
+        if self._held > self.buffered_high_water:
+            self.buffered_high_water = self._held
+        return self._release()
+
+    def _release(self) -> List[T]:
+        """Release the held items up to the first missing seq: from the
+        run holding the next seq, a stretch at a time."""
+        heap = self._heap
+        seq_of = self._seq_of
+        nxt = self._next
         released: List[T] = []
-        while self._heap and self._heap[0][0] <= self._next:
-            head_seq, _, head = heapq.heappop(self._heap)
-            released.append(head)
-            if head_seq == self._next:
-                self._next = head_seq + 1
+        append = released.append
+        while heap and heap[0][0] <= nxt:
+            seq, tiebreak, index, run = heap[0]
+            end = len(run)
+            while True:
+                append(run[index])
+                if seq == nxt:
+                    nxt += 1
+                index += 1
+                if index == end:
+                    heapq.heappop(heap)
+                    break
+                seq = seq_of(run[index])
+                if seq > nxt:
+                    heapq.heapreplace(heap, (seq, tiebreak, index, run))
+                    break
+        self._next = nxt
+        self._held -= len(released)
         return released
 
     def drain(self) -> List[T]:
         """Everything still buffered, in seq order (gaps skipped)."""
-        released = [item for _, _, item in sorted(self._heap)]
-        if self._heap:
-            self._next = self._heap[-1][0] + 1
-        self._heap = []
+        heap = self._heap
+        released: List[T] = []
+        while heap:
+            seq, tiebreak, index, run = heapq.heappop(heap)
+            released.append(run[index])
+            if seq >= self._next:
+                self._next = seq + 1
+            index += 1
+            if index < len(run):
+                heapq.heappush(
+                    heap, (self._seq_of(run[index]), tiebreak, index, run)
+                )
+        self._held = 0
         return released
 
 

@@ -13,9 +13,12 @@ the offline oracle re-checks at the end.
 Two orderings make the merge sound:
 
 * **per-site order** — shards publish records in publication order,
-  which can invert reserve order; a per-site
+  one branch's records at a time when it commits or aborts, which
+  inverts reserve order whenever branches overlap; a per-site
   :class:`~repro.checker.window.ReorderBuffer` restores local ``seq``
-  order before records reach the merge.
+  order before records reach the merge.  A decision barrier on a site
+  therefore also waits for the branches that began there before the
+  awaited commit record was reserved to finish.
 * **decision barriers** — a global commit/abort record is emitted only
   after every branch's lifecycle record has been delivered (the shard's
   commit/abort reply carries the record's local seq as a watermark), or

@@ -17,7 +17,8 @@ then speaks the length-prefixed frame protocol of :mod:`.wire`:
   ``shutdown``).  ``hello`` reports the branch transactions whose
   commits survived in the WAL — the coordinator resolves in-doubt 2PC
   decisions against exactly that list.  ``pull`` long-polls the trace
-  outbox: every published trace record, in publication order, as JSON.
+  outbox: every published trace record, in publication order (a branch's
+  records arrive together when it commits or aborts), as JSON.
 
 A ``write`` op is ``read_for_update`` + ``write`` so the reply can carry
 the overwritten value; together with the engine's deterministic access
@@ -78,10 +79,13 @@ class _Outbox:
     def watermark_for(self, branch_path: tuple, timeout: float = 5.0) -> int:
         """The local trace seq of ``branch``'s commit/abort record.
 
-        The engine publishes the lifecycle record on the committing
-        thread before ``commit()``/``abort()`` returns, so by the time a
-        session handler asks, the record is already here (the wait is a
-        belt-and-braces bound, not an expected path)."""
+        A branch is a shard top-level, so the engine publishes its rows
+        — the lifecycle record last — in one delivery on the committing
+        (or aborting) thread before ``commit()``/``abort()`` returns: by
+        the time a session handler asks, the record is already here (the
+        wait is a belt-and-braces bound, not an expected path).  Rows of
+        a branch still live on this site are not here yet; the merger's
+        per-site reorder buffer holds what follows them until they come."""
         path = list(branch_path)
         with self._cond:
             end = 0.0

@@ -41,13 +41,17 @@ only); the WAL frame is written from the path.  The registry holds
 *live* transactions only, so an engine at rest is empty.
 
 Lock order: engine latch, then the leaf locks (waits-for graph, trace
-recorder, WAL, metrics, whatever a wake target takes).  **One
-publication rule:** a latched step only queues what it has to say — a
-trace record's fields with its reserved seq (a row the recorder stores
-as it is), or an event — on the outbox, which every entry point
-delivers after the latch, raise or not (``_publish``); so trace
-listeners and event sinks may call back into the engine.  See DESIGN.md ("One latch") for the measurements that
-retired the striped alternative.
+recorder, WAL, metrics, whatever a wake target takes).  **Rows ride
+their top-level's family; events ride the outbox:** a latched step only
+queues what it has to say.  A trace record's fields, with its seq
+reserved there, go on its top-level's ``Transaction.family`` (a row the
+recorder stores as it is); the family goes on the outbox, as one item,
+in the section that commits or aborts the top-level.  An event goes on
+the outbox.  Every entry point delivers the outbox after the latch,
+raise or not (``_publish``), so trace listeners and event sinks may
+call back into the engine — and a traced op that finishes no top-level
+leaves the outbox empty and publishes nothing.  See DESIGN.md ("One
+latch") for the measurements that retired the striped alternative.
 
 Configuration axes (these drive the E1/E6 benchmarks):
 
@@ -81,6 +85,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from contextlib import contextmanager
+from operator import itemgetter
 
 from ..core.action_tree import ABORTED, ACTIVE, COMMITTED
 from ..core.naming import ActionName
@@ -126,6 +131,9 @@ BATCH_ERROR = "error"
 #: What :meth:`NestedTransactionDB._attempt_locked` returns for a request
 #: it cannot grant (a granted read may see any value, ``None`` included).
 _BLOCKED = object()
+
+#: A trace row's seq (rows are ``(op, txn, leaf, obj, kind, seen, arg, seq)``).
+_SEQ = itemgetter(7)
 
 
 def _event(cls: type, *fields: Any) -> Event:
@@ -232,13 +240,16 @@ class NestedTransactionDB:
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder() if config.record_trace else None
         )
-        # What latched steps have to say, in order — a trace row
-        # ``(op, txn, leaf, obj, kind, seen, arg, seq)`` with the seq
-        # reserved under the latch (TraceRecorder.publish_rows), or an
-        # event as ``(make, *fields)`` — until an entry point delivers it
-        # after the latch (_publish).  Without a trace or a sink it stays
-        # empty.
-        self._outbox: Deque[Tuple[Any, ...]] = deque()
+        # What latched steps have to say, in order — a finished
+        # top-level's family (a list of trace rows ``(op, txn, leaf, obj,
+        # kind, seen, arg, seq)`` with seqs reserved under the latch, see
+        # TraceRecorder.publish_rows), or an event as ``(make, *fields)``
+        # — until an entry point delivers it after the latch (_publish).
+        # Without a trace or a sink it stays empty.
+        self._outbox: Deque[Any] = deque()
+        # Top-levels begun with a family that has not reached the outbox
+        # yet: the live ones (assert_quiescent checks none is left over).
+        self._open_families = 0
         self._object_waits: Dict[str, int] = {obj: 0 for obj in initial}
         # Online certification: "streaming" subscribes an incremental
         # Theorem-9 certifier to the trace stream; violations accumulate
@@ -251,7 +262,7 @@ class NestedTransactionDB:
 
             self.certifier = StreamingCertifier(self.initial_values)
             self.trace.add_listener(
-                self.certifier.feed, self.certifier.feed_many
+                self.certifier.feed, rows=self.certifier.feed_rows
             )
 
     # -- public API ------------------------------------------------------------
@@ -410,6 +421,11 @@ class NestedTransactionDB:
                 raise AssertionError(
                     "%d undelivered item(s) in the outbox" % len(self._outbox)
                 )
+            if self._open_families:
+                raise AssertionError(
+                    "%d finished top-level(s) kept their trace rows off "
+                    "the outbox" % self._open_families
+                )
 
     def assert_certified(self) -> None:
         """Raise when the streaming certifier has flagged any violation
@@ -471,8 +487,8 @@ class NestedTransactionDB:
     def _begin_locked(
         self, key: Key, parent: Optional[Transaction], read_only: bool = False
     ) -> Transaction:
-        """Register a new transaction (latch held) and queue its
-        ``create`` record and ``txn_begun`` event."""
+        """Register a new transaction (latch held), put its ``create``
+        row on its family and queue its ``txn_begun`` event."""
         txn = Transaction(self, key, parent, read_only)
         snapshot = read_only and parent is None
         if snapshot:
@@ -484,10 +500,13 @@ class NestedTransactionDB:
         if parent is not None:
             parent.children.append(txn)
         self.stats.begun += 1
-        if self.trace is not None:
+        family = txn.family
+        if family is not None:
+            if parent is None:
+                self._open_families += 1
             # A snapshot top-level's ``create`` carries its horizon, so
             # certifiers serialize it at the right commit stamp.
-            self._outbox.append(
+            family.append(
                 (CREATE, key, None, None, "snapshot", None,
                  txn.snapshot_horizon, self.trace.reserve_seq())
                 if snapshot else
@@ -557,13 +576,16 @@ class NestedTransactionDB:
                 prune_below = (
                     min(horizons.values()) if horizons else stamp
                 )
-        if self.trace is not None:
+        family = txn.family
+        if family is not None:
             # A top-level's ``commit`` carries its stamp, so certifiers
             # can rebuild the committed state at any horizon.
-            self._outbox.append(
+            family.append(
                 (COMMIT, txn.key, None, None, None, None, stamp,
                  self.trace.reserve_seq())
             )
+            if txn.parent is None:
+                self._family_done_locked(family)
         inherited = tuple(txn.held_objects)
         self._inherit_locks(txn, stamp, prune_below)
         if not self._waits.idle():
@@ -696,7 +718,8 @@ class NestedTransactionDB:
         raise in the caller's section cannot lose the wake-up; under lazy
         cleanup the woken request reaps the dead holder itself), and so
         are the subtree's own parked requests, to learn they are dead.
-        Each abort record and ``txn_aborted`` event is queued."""
+        Each abort row goes on the tree's family (a top-level's family
+        then on the outbox) and each ``txn_aborted`` event is queued."""
         if txn.status != ACTIVE:
             return  # idempotent; committed subtrees die via ancestor deadness
         for child in txn.children:
@@ -707,11 +730,14 @@ class NestedTransactionDB:
         txn.children.clear()
         if txn.parent is None:
             self._snapshot_horizons.pop(key, None)
-        if self.trace is not None:
-            self._outbox.append(
+        family = txn.family
+        if family is not None:
+            family.append(
                 (ABORT, key, None, None, None, None, None,
                  self.trace.reserve_seq())
             )
+            if txn.parent is None:
+                self._family_done_locked(family)
         if self._waiters:
             self._wake_locked(txn.held_objects)
             self._withdraw_locked(txn)
@@ -727,30 +753,40 @@ class NestedTransactionDB:
         if self.events.enabled:
             self._outbox.append((_event, TxnAborted, txn, reason))
 
+    def _family_done_locked(self, family: List[Tuple[Any, ...]]) -> None:
+        """A top-level just finished (latch held): its family, every row
+        of its tree in seq order, goes on the outbox as one item."""
+        self._open_families -= 1
+        self._outbox.append(family)
+
     def _publish(self) -> None:
         """Deliver the outbox, latch *not* held: every entry point that
         changes the engine calls this on its way out, raise or not.  Items
-        are delivered FIFO, a run of trace rows as one batch handed to the
-        recorder as they are (it builds records only for its listeners),
-        each event built here; ``popleft`` hands each item (another
-        thread's, perhaps) to exactly one publisher, with no second latch
-        crossing."""
+        are delivered FIFO: the families drained before the next event
+        go to the recorder in one call, merged into one seq-ordered run
+        (it builds records only for listeners without a row form), and
+        each event is built here; ``popleft`` hands each item (another
+        thread's, perhaps) to exactly one publisher, with no second
+        latch crossing."""
         outbox = self._outbox
         while outbox:
-            rows: List[Tuple[Any, ...]] = []
+            families: List[List[Tuple[Any, ...]]] = []
             event: Optional[Event] = None
             while outbox:
                 try:
                     item = outbox.popleft()
                 except IndexError:  # a concurrent publisher took the last
                     break
-                if item[0].__class__ is str:  # a trace row: its op first
-                    rows.append(item)
+                if item.__class__ is list:  # a finished top-level's rows
+                    families.append(item)
                 else:
                     event = item[0](*item[1:])
                     break
-            if rows:
-                self.trace.publish_rows(rows)
+            if families:
+                self.trace.publish_rows(
+                    families[0] if len(families) == 1 else
+                    sorted(itertools.chain.from_iterable(families), key=_SEQ)
+                )
             if event is not None:
                 self.events.emit(event)
 
@@ -892,8 +928,8 @@ class NestedTransactionDB:
         paper's ``perform`` precondition and effect, stated once.
 
         Granted: the lock is taken, the read / write / increment applied
-        to the version stack, the counter bumped and the trace record
-        queued; returns the value observed (``None`` for a blind
+        to the version stack, the counter bumped and the trace row put on
+        the family; returns the value observed (``None`` for a blind
         increment).
 
         Conflicting: the waits-for edges are registered (they stay behind
@@ -921,8 +957,8 @@ class NestedTransactionDB:
             self._check_live_locked(txn)
             seen = self._objects[obj][1].value_at(txn.snapshot_horizon)
             self.stats.snapshot_reads += 1
-            if self.trace is not None:
-                self._outbox.append(
+            if txn.family is not None:
+                txn.family.append(
                     (PERFORM, txn.key, txn.next_access_label(kind), obj, kind,
                      seen, None, self.trace.reserve_seq())
                 )
@@ -984,8 +1020,9 @@ class NestedTransactionDB:
             self.stats.reads += 1
             # Traced as a read whatever lock it took, and without an arg.
             kind, arg = "read", None
-        if self.trace is not None:
-            self._outbox.append(
+        family = txn.family
+        if family is not None:
+            family.append(
                 (PERFORM, key, txn.next_access_label(kind), obj, kind, seen,
                  arg, self.trace.reserve_seq())
             )

@@ -28,6 +28,20 @@ records in seq order (late publications are re-sorted on read).  The
 convenience ``record_*`` methods reserve and publish in one step, which
 is equivalent to deferred publication with an empty deferral window.
 
+**One delivery per top-level.**  The engine publishes a top-level
+transaction's rows — its own and its whole subtree's, in seq order —
+in one :meth:`TraceRecorder.publish_rows` call when it commits or
+aborts (whoever aborts it: its own thread or another thread's deadlock
+sweep), not row by row.  So the recorder, and every listener, hears of
+a top-level only once it has finished, and
+:attr:`~TraceRecorder.records` read while a top-level is live does not
+show that top-level's rows yet: read the trace after the transactions
+you care about have finished (at quiescence it is the whole trace).
+Overlapping top-levels are published in the order they finish, which is
+not seq order; a listener that needs seq order restores it (the
+streaming certifier merges each top-level's rows as one sorted run,
+:class:`~repro.checker.window.ReorderBuffer`).
+
 **Storage is columnar.**  The recorder keeps every record, but not as
 an object: one ``array('q')`` of seqs, one byte per record coding its
 ``op`` and ``kind``, and a list per remaining field holding shared
@@ -45,12 +59,12 @@ program retains about 2.1 kB of trace instead of the 6.8 kB its records,
 access tuples and label strings took as objects (``docs/performance.md``).
 
 One consequence of deferral: a reader that snapshots :attr:`records`
-while operations are still in flight may observe seq gaps (reserved but
-not yet published).  Quiescent traces — what the checker certifies —
-never have in-flight reservations.  The checker package replays traces
-through the formal algebras — the engine is *oracle-checked*: after any
-run, its trace must form an action tree whose permanent subtree is
-serializable.
+while transactions are still in flight sees none of the live top-levels'
+rows, and may see seq gaps where they will land.  Quiescent traces —
+what the checker certifies — have none.  The checker package replays
+traces through the formal algebras — the engine is *oracle-checked*:
+after any run, its trace must form an action tree whose permanent
+subtree is serializable.
 
 Traces serialize to JSON lines (:meth:`TraceRecorder.dump` /
 :meth:`TraceRecorder.load`), so executions can be archived and audited
@@ -253,7 +267,7 @@ class TraceRecorder:
 
     # -- listeners (live trace subscribers) --------------------------------
 
-    def add_listener(self, listener: Any, many: Any = None) -> Any:
+    def add_listener(self, listener: Any, *, rows: Any = None) -> Any:
         """Subscribe a callable to every published record.
 
         Listeners run on the publishing thread, outside the recorder's
@@ -262,15 +276,19 @@ class TraceRecorder:
         the publishing thread has yet to do.  A raising
         listener is contained (counted, never propagated) — the same
         contract as event sinks; ``NestedTransactionDB.assert_certified``
-        refuses to certify a stream whose listener raised.  ``many``, when
-        given, is the listener's batch form: a batch published at once
-        is handed to it in one call (so a consumer with its own lock
-        takes it once per batch) instead of calling ``listener`` per
-        record.  The streaming certifier subscribes here when the engine
-        is built with ``certify="streaming"``.
+        refuses to certify a stream whose listener raised.
+
+        ``rows``, when given, is the listener's *row form*: each
+        publication is handed to it in one call as the rows themselves
+        (:meth:`publish_rows`' form, ascending in seq within the call:
+        from the engine, the rows of the top-levels that just finished),
+        and ``listener`` is not called — no :class:`TraceRecord` is
+        built for it.  The streaming certifier subscribes this way when
+        the engine is built with ``certify="streaming"``.  A listener
+        without a row form hears each record as a :class:`TraceRecord`.
         """
         with self._lock:
-            self._listeners = self._listeners + ((listener, many),)
+            self._listeners = self._listeners + ((listener, rows),)
         return listener
 
     def remove_listener(self, listener: Any) -> None:
@@ -300,8 +318,7 @@ class TraceRecorder:
 
     def publish_many(self, records: Sequence[TraceRecord]) -> None:
         """:meth:`publish` for a batch: one crossing of the recorder's
-        leaf lock, and one call per listener that registered a batch
-        form."""
+        leaf lock, and one call per listener with a row form."""
         if records:
             self.publish_rows([_row(record) for record in records], records)
 
@@ -311,13 +328,14 @@ class TraceRecorder:
         records: Optional[Sequence[TraceRecord]] = None,
     ) -> None:
         """:meth:`publish_many` for records given as their fields — the
-        engine's form.  Each row is ``(op, txn, leaf, obj, kind, seen,
-        arg, seq)``: ``txn`` a path tuple, ``leaf`` ``None`` (no access),
-        an atom (the access is ``txn + (leaf,)``) or a path tuple (the
-        access itself).  The rows are stored, then their records —
-        ``records`` when the caller has them, else built here, and only
-        if a listener is subscribed — handed to the listeners: a batch of
-        one as one record (the blocking API's usual delivery)."""
+        engine's form, one call per finished top-level's rows (or the
+        rows of several, merged by seq).  Each
+        row is ``(op, txn, leaf, obj, kind, seen, arg, seq)``: ``txn`` a
+        path tuple, ``leaf`` ``None`` (no access), an atom (the access is
+        ``txn + (leaf,)``) or a path tuple (the access itself).  The rows
+        are stored, then handed to each listener: to a row form as they
+        are, in one call; to any other listener record by record —
+        ``records`` when the caller has them, else built here once."""
         with self._lock:
             seqs, codes = self._seqs, self._codes
             txns, leaves, objs = self._txns, self._leaves, self._objs
@@ -351,25 +369,17 @@ class TraceRecorder:
             finally:
                 self._last_seq = last
             listeners = self._listeners
-        if not listeners or not rows:
+        if not rows:
             return
-        if len(rows) == 1:
-            record = _record(*rows[0]) if records is None else records[0]
-            for listener, _many in listeners:
+        for listener, row_form in listeners:
+            if row_form is not None:
                 try:
-                    listener(record)
-                except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
-                    self._listener_failed(error)
-            return
-        if records is None:
-            records = [_record(*row) for row in rows]
-        for listener, many in listeners:
-            if many is not None:
-                try:
-                    many(records)
+                    row_form(rows)
                 except Exception as error:  # noqa: BLE001 - listeners must not hurt the engine
                     self._listener_failed(error)
                 continue
+            if records is None:
+                records = [_record(*row) for row in rows]
             for record in records:
                 try:
                     listener(record)

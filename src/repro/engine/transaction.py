@@ -84,12 +84,17 @@ class Transaction:
     :class:`ActionName` on first read, so a transaction nobody observes
     by name (event sink, WAL, error) never mints one — trace records
     carry the key too.
+
+    **A trace family per top-level.**  Every trace row the tree's
+    transactions produce goes on the top-level's :attr:`family` list,
+    which reaches the trace recorder (and its listeners) in one delivery
+    when the top-level finishes.
     """
 
     __slots__ = (
         "_db", "key", "parent", "status", "children", "held_objects",
         "read_only", "snapshot_horizon", "_child_counter", "_access_counter",
-        "_name",
+        "_name", "family",
     )
 
     def __init__(
@@ -117,6 +122,15 @@ class Transaction:
             None if parent is None else parent.snapshot_horizon
         )
         self._name: Optional[ActionName] = None
+        #: The trace rows of this transaction's top-level tree, one list
+        #: shared by the whole tree and appended in seq order under the
+        #: engine latch; the engine hands it to the trace recorder in one
+        #: piece when the top-level commits or aborts.  ``None`` when the
+        #: engine records no trace.
+        self.family: Optional[List[Tuple[Any, ...]]] = (
+            parent.family if parent is not None
+            else None if db.trace is None else []
+        )
 
     # -- identity ----------------------------------------------------------
 
