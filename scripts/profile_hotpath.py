@@ -36,12 +36,16 @@ stored as columns, about 2.1 kB a program (its records as objects took
 (``TraceRecorder.publish_rows`` calls) and the streaming certifier (calls
 of its ``feed`` / ``feed_many`` / ``feed_rows``) per committed program:
 the engine delivers a top-level's rows in one piece when it finishes, so
-both read exactly 1 (per-record delivery read 30 and 30).
+both read exactly 1 (per-record delivery read 30 and 30) — and how many
+``_Access`` window entries the certifier built per program: a top-level
+that finishes alone, as every program of this one-client run does, is
+certified in one pass over its rows and builds none (the general path
+built 20).
 ``--count-only`` stops after the counts and exits non-zero unless every
 name count is zero, the retained trace stays within
-``TRACE_BYTES_PER_PROGRAM_MAX`` and both delivery counts are exactly 1
-— the deterministic guards the ``perf-smoke`` CI job runs on both
-shapes.
+``TRACE_BYTES_PER_PROGRAM_MAX``, both delivery counts are exactly 1 and
+no ``_Access`` was built — the deterministic guards the ``perf-smoke``
+CI job runs on both shapes.
 
 ``--served`` runs 256 concurrent sessions (two increments and a read;
 10 % read three objects) through ``AsyncFrontend`` over a certified
@@ -267,17 +271,21 @@ def trace_bytes_per_program(txns: int, objects: int) -> float:
 #: The streaming certifier's entry points, each counted as one ingest call.
 CERTIFIER_FEEDS = ("feed", "feed_many", "feed_rows")
 
+#: What :func:`count_deliveries` must read per certified program.
+DELIVERY_COUNTS = {"deliveries": 1, "ingests": 1, "accesses": 0}
+
 
 def count_deliveries(txns: int, objects: int) -> Dict[str, float]:
     """Run the certified nested workload counting ``publish_rows`` calls
-    (deliveries to the recorder) and calls into the certifier's feed
-    entry points (ingest calls), and print and return each per
+    (deliveries to the recorder), calls into the certifier's feed
+    entry points (ingest calls) and ``_Access`` constructions (window
+    entries the certifier built), and print and return each per
     committed program.  A count of a single-threaded seeded run: it
     repeats exactly."""
-    from repro.checker.streaming import StreamingCertifier
+    from repro.checker.streaming import StreamingCertifier, _Access
     from repro.engine.trace import TraceRecorder
 
-    counts = {"deliveries": 0, "ingests": 0}
+    counts = {label: 0 for label in DELIVERY_COUNTS}
 
     def counted(label, real):
         def shim(*args, **kwargs):
@@ -288,7 +296,8 @@ def count_deliveries(txns: int, objects: int) -> Dict[str, float]:
 
     # Patched on the classes before the engine subscribes its certifier,
     # so the bound methods it hands the recorder are the shims.
-    patched = [(TraceRecorder, "publish_rows", "deliveries")] + [
+    patched = [(TraceRecorder, "publish_rows", "deliveries"),
+               (_Access, "__init__", "accesses")] + [
         (StreamingCertifier, name, "ingests") for name in CERTIFIER_FEEDS
     ]
     originals = [(cls, name, cls.__dict__[name]) for cls, name, _ in patched]
@@ -304,8 +313,10 @@ def count_deliveries(txns: int, objects: int) -> Dict[str, float]:
     print(
         "trace deliveries on the certified nested path: %d programs, "
         "%.2f publish_rows calls and %.2f certifier ingest calls per "
-        "program (exactly 1 each)"
-        % (txns, per_program["deliveries"], per_program["ingests"])
+        "program (exactly 1 each), %.2f _Access built per program "
+        "(exactly 0)"
+        % (txns, per_program["deliveries"], per_program["ingests"],
+           per_program["accesses"])
     )
     return per_program
 
@@ -564,8 +575,9 @@ def main(argv=None) -> int:
         help="with --nested/--certified: print the counts and skip the "
         "profile; exit 1 unless every name count is zero (--nested: bare "
         "and durable) and, with --certified, the trace retained per "
-        "program is at most %d bytes and the trace reaches the recorder "
-        "and the certifier exactly once per program.  With --served: exit "
+        "program is at most %d bytes, the trace reaches the recorder "
+        "and the certifier exactly once per program and the certifier "
+        "builds no _Access.  With --served: exit "
         "1 unless loop wake-ups per committed txn are below 1.  With --cluster: "
         "exit 1 unless round trips per committed txn are exactly 3 "
         "(single-site) and 6 (cross-site)" % TRACE_BYTES_PER_PROGRAM_MAX,
@@ -646,9 +658,9 @@ def main(argv=None) -> int:
             for label, per_program in count_deliveries(
                 args.txns, args.objects
             ).items():
-                if per_program != 1:
-                    print("FAIL: %.2f trace %s per certified program "
-                          "(exactly 1)" % (per_program, label))
+                if per_program != DELIVERY_COUNTS[label]:
+                    print("FAIL: %.2f %s per certified program (exactly %d)"
+                          % (per_program, label, DELIVERY_COUNTS[label]))
                     failed = True
         if args.count_only:
             return 1 if failed else 0

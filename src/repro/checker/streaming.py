@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -322,12 +323,18 @@ class StreamingCertifier:
         in ascending seq order — a finished top-level's family, or
         several merged by seq, as the engine delivers them — in one
         locked pass.  The rows are held as one run while a gap before
-        them is open, and ingested as they are."""
+        them is open, and ingested as they are.  A top-level's family
+        that arrives in turn while the window is empty is certified in
+        one pass over its rows (:meth:`_settle_alone`)."""
         with self._lock:
             if self._finished:
                 raise RuntimeError("certifier already finished")
+            ready = self._reorder.push_run(rows)
+            if (ready is rows and not self._clock.live_count()
+                    and self._settle_alone(rows)):
+                return
             ingest = self._ingest
-            for row in self._reorder.push_run(rows):
+            for row in ready:
                 ingest(row)
 
     def feed_dict(self, data: Mapping[str, Any]) -> None:
@@ -393,6 +400,18 @@ class StreamingCertifier:
 
     def _flag(self, violation: Violation) -> None:
         self._violations.append(violation)
+
+    def _flag_absent(self, obj: str, seq: Optional[int],
+                     access: Path) -> None:
+        """Flag the first permanent access to an object the initial
+        values do not name (once per object)."""
+        if obj not in self._warned_objects:
+            self._warned_objects.add(obj)
+            self._flag(Violation(
+                PROTOCOL,
+                "access to object %r absent from the initial values" % (obj,),
+                seq=seq, obj=obj, accesses=(_name(access),),
+            ))
 
     def _ingest(self, row: Row) -> None:
         op, path, leaf, obj, kind, seen, arg, seq = row
@@ -492,14 +511,7 @@ class StreamingCertifier:
             ))
             return
         if acc.obj not in self._committed:
-            if acc.obj not in self._warned_objects:
-                self._warned_objects.add(acc.obj)
-                self._flag(Violation(
-                    PROTOCOL,
-                    "access to object %r absent from the initial values"
-                    % (acc.obj,),
-                    seq=acc.seq, obj=acc.obj, accesses=(_name(acc.access),),
-                ))
+            self._flag_absent(acc.obj, acc.seq, acc.access)
             return
         expected = self._value_at(acc.obj, top.snapshot_horizon)
         if acc.seen != expected:
@@ -573,10 +585,9 @@ class StreamingCertifier:
     def _settle_committed(self, top: _TopTxn, stamp: Optional[int]) -> None:
         """The one pass over a committed top's accesses (seq order = data
         order inside the top): decide each access's fate, advance the
-        stamped committed-state replay with the survivors (writes set,
-        increments add, so a materialized write overrides earlier deltas
-        exactly as the engine's version stacks did), and spot the only
-        shape that can make a sibling family cyclic.
+        stamped committed-state replay with the survivors
+        (:meth:`_advance_committed`), and spot the only shape that can
+        make a sibling family cyclic.
 
         *Fate.*  An access is permanent iff every transaction between the
         top and the access (both exclusive) committed — ``visible_T(U)``
@@ -594,13 +605,38 @@ class StreamingCertifier:
         so ``L``'s edges embed in the order of the runs and the family is
         acyclic without looking at a single pair.  A family can close a
         cycle only if one of its children is *re-entered* — left for an
-        access outside it, then resumed.  ``closed`` holds the subtrees
-        the walk has left; resuming one marks its parent suspect, and only
-        suspect families pay for pair enumeration and cycle search
-        (:meth:`_check_families`).  Resuming a whole subtree also marks
-        families inside it whose own runs may be contiguous: a false
-        alarm costs a search, never a verdict.
+        access outside it, then resumed.  :func:`_reentered` finds them;
+        only suspect families pay for pair enumeration and cycle search
+        (:meth:`_check_families`).
         """
+        nested = top.nested
+        permanent: Dict[Path, bool] = {}
+        walk: List[Path] = []  # owner of each run of permanent accesses
+        updates: List[Tuple[str, str, Any]] = []
+        owner: Optional[Path] = None  # owning transaction of the last access
+        fate = False
+        for acc in top.accesses:
+            if acc.owner != owner:
+                owner = acc.owner
+                fate = _permanent(nested, permanent, owner)
+                if fate:
+                    walk.append(owner)
+            acc.fate = fate
+            if fate and (acc.kind == "write" or acc.kind == "increment"):
+                updates.append((acc.obj, acc.kind, acc.arg))
+        self._advance_committed(stamp, updates)
+        suspects = _reentered(walk)
+        if suspects:
+            self._check_families(top, suspects)
+
+    def _advance_committed(self, stamp: Optional[int],
+                           updates: Sequence[Tuple[str, str, Any]]) -> None:
+        """Advance the stamped committed-state replay past one committed
+        top: ``updates`` are its permanent writes and increments as
+        ``(obj, kind, arg)`` in seq order — writes set, increments add, so
+        a materialized write overrides earlier deltas exactly as the
+        engine's version stacks did — and each object they changed gains
+        a history entry at ``stamp``."""
         if stamp is None:
             # Traces predating stamped commits auto-stamp in ingestion
             # order, which equals stamp order (both are assigned under
@@ -608,36 +644,14 @@ class StreamingCertifier:
             stamp = self._committed_stamp + 1
         if stamp > self._committed_stamp:
             self._committed_stamp = stamp
-        nested = top.nested
         committed = self._committed
-        permanent: Dict[Path, bool] = {}
         changed: Set[str] = set()
-        closed: Set[Path] = set()
-        suspects: Set[Path] = set()
-        owner: Optional[Path] = None  # owning transaction of the last access
-        walked: Optional[Path] = None  # ... of the last permanent access
-        fate = False
-        for acc in top.accesses:
-            if acc.owner != owner:
-                owner = acc.owner
-                fate = _permanent(nested, permanent, owner)
-                if fate and owner != walked:
-                    if walked is not None:
-                        shared = _shared_prefix(walked, owner)
-                        for end in range(shared + 1, len(walked) + 1):
-                            closed.add(walked[:end])
-                        for end in range(shared + 1, len(owner) + 1):
-                            if owner[:end] in closed:
-                                suspects.add(owner[:end - 1])
-                    walked = owner
-            acc.fate = fate
-            if fate and acc.obj in committed:
-                if acc.kind == "write":
-                    committed[acc.obj] = acc.arg
-                    changed.add(acc.obj)
-                elif acc.kind == "increment":
-                    committed[acc.obj] = committed[acc.obj] + acc.arg
-                    changed.add(acc.obj)
+        for obj, kind, arg in updates:
+            if obj in committed:
+                committed[obj] = (
+                    arg if kind == "write" else committed[obj] + arg
+                )
+                changed.add(obj)
         if changed:
             floor = (
                 min(self._active_horizons.values())
@@ -649,8 +663,114 @@ class StreamingCertifier:
                 history.append((stamp, committed[obj]))
                 while len(history) >= 2 and history[1][0] <= floor:
                     del history[0]
-        if suspects:
-            self._check_families(top, suspects)
+
+    def _settle_alone(self, rows: Sequence[Row]) -> bool:
+        """Certify a top-level that finished alone in one pass over its
+        rows, or return False having changed nothing.
+
+        ``rows`` arrived in turn, whole and gapless, while the window was
+        empty.  When they are exactly one top-level's family — its
+        ``create`` (not a snapshot) first, its ``commit`` or ``abort``
+        last, every row in between under its label, no second depth-1
+        lifecycle row, every perform with an access and an object — no
+        other top-level is concurrent with it: the cross-transaction
+        graph cannot gain an edge, the watermark rule retires it the
+        moment it resolves, and nothing is queued ahead of its accesses
+        on any object.  What is left of Theorem 9 is one replay of its
+        permanent accesses in seq order against ``_values``, plus the
+        family check inside it.  So a read-only pre-pass records the
+        nested statuses and decides fates; a family with a re-entered
+        child (:func:`_reentered`) goes the general way, as does any
+        other shape.  Then one replay flags what :meth:`_drain` would
+        (the same violations, in seq order rather than object by
+        object) and every counter, high-water mark and the retirement
+        clock move as the general path would move them, without an
+        ``_Access``, a ``_TopTxn``, a FIFO or a graph node.
+        """
+        count = len(rows)
+        if count < 2:
+            return False
+        op, top_path, _, _, kind, _, _, first = rows[0]
+        last = rows[-1]
+        if (op != CREATE or not top_path or len(top_path) != 1
+                or kind == "snapshot"
+                or (last[0] != COMMIT and last[0] != ABORT)
+                or last[1] != top_path):
+            return False
+        label = top_path[0]
+        nested: Dict[Path, str] = {}
+        performs: List[Row] = []
+        append = performs.append
+        for row in islice(rows, 1, count - 1):
+            op, path = row[0], row[1]
+            if not path or path[0] != label:
+                return False
+            if op == PERFORM:
+                if row[2] is None or row[3] is None:
+                    return False
+                append(row)
+            elif len(path) == 1:
+                return False
+            elif op == CREATE:
+                nested[path] = ACTIVE
+            elif op == COMMIT:
+                nested[path] = COMMITTED
+            elif op == ABORT:
+                nested[path] = ABORTED
+            else:
+                return False
+        committed = last[0] == COMMIT
+        survivors: List[Row] = []
+        if committed:
+            permanent: Dict[Path, bool] = {}
+            walk: List[Path] = []
+            owner: Optional[Path] = None
+            fate = False
+            for row in performs:
+                if row[1] != owner:
+                    owner = row[1]
+                    fate = _permanent(nested, permanent, owner)
+                    if fate:
+                        walk.append(owner)
+                if fate:
+                    survivors.append(row)
+            if _reentered(walk):
+                return False
+        # The general path's clock: each row's seq, or one past the last
+        # ingested when that is ahead already (the seqs are contiguous).
+        begin = max(first, self._seq_clock + 1)
+        end = begin + count - 1
+        self._clock.retire_alone(begin, end)
+        self._seq_clock = end
+        self.records += count
+        if not self.max_live_tops:
+            self.max_live_tops = 1
+        accesses, kept = len(performs), len(survivors)
+        if accesses > self.max_pending_accesses:
+            self.max_pending_accesses = accesses
+        if kept > self.max_applied_accesses:
+            self.max_applied_accesses = kept
+        self.permanent_accesses += kept
+        self.dropped_accesses += accesses - kept
+        if not committed:
+            return True
+        values = self._values
+        updates: List[Tuple[str, str, Any]] = []
+        for _, path, leaf, obj, kind, seen, arg, seq in survivors:
+            if obj not in values:
+                self._flag_absent(obj, seq, _access_path(path, leaf))
+            elif kind == "increment":
+                values[obj] = values[obj] + arg
+                updates.append((obj, kind, arg))
+            else:
+                if seen != values[obj]:
+                    self._flag(_misread(top_path, _access_path(path, leaf),
+                                        obj, seen, values[obj], seq))
+                if kind == "write":
+                    values[obj] = arg
+                    updates.append((obj, kind, arg))
+        self._advance_committed(last[6], updates)
+        return True
 
     def _resolve_snapshot_top(self, top: _TopTxn, committed: bool) -> None:
         """A snapshot transaction resolved: emit its buffered misreads if
@@ -698,14 +818,7 @@ class StreamingCertifier:
             permanent += 1
             kind = acc.kind
             if obj not in self._values:
-                if obj not in self._warned_objects:
-                    self._warned_objects.add(obj)
-                    self._flag(Violation(
-                        PROTOCOL,
-                        "access to object %r absent from the initial values"
-                        % (obj,),
-                        seq=acc.seq, obj=obj, accesses=(_name(acc.access),),
-                    ))
+                self._flag_absent(obj, acc.seq, acc.access)
             elif kind == "increment":
                 # Blind access: no label to check — the replay applies
                 # the delta (the paper's update function a la (d13)).
@@ -713,15 +826,8 @@ class StreamingCertifier:
             else:
                 expected = self._values[obj]
                 if acc.seen != expected:
-                    access = _name(acc.access)
-                    self._flag(Violation(
-                        VERSION,
-                        "data step %r on %r saw %r, replay of its visible "
-                        "history gives %r"
-                        % (access, obj, acc.seen, expected),
-                        seq=acc.seq, obj=obj,
-                        txns=(_name(acc.top.path),), accesses=(access,),
-                    ))
+                    self._flag(_misread(acc.top.path, acc.access, obj,
+                                        acc.seen, expected, acc.seq))
                 if kind == "write":
                     self._values[obj] = acc.arg
             if applied is None:
@@ -894,6 +1000,19 @@ def _access_path(txn: Path, leaf: Any) -> Path:
     return leaf if leaf.__class__ is tuple else txn + (leaf,)
 
 
+def _misread(top: Path, access: Path, obj: str, seen: Any, expected: Any,
+             seq: Optional[int]) -> Violation:
+    """The violation of a permanent access whose label is not the replay
+    of its visible history."""
+    name = _name(access)
+    return Violation(
+        VERSION,
+        "data step %r on %r saw %r, replay of its visible history gives %r"
+        % (name, obj, seen, expected),
+        seq=seq, obj=obj, txns=(_name(top),), accesses=(name,),
+    )
+
+
 def _conflict(first: str, second: str) -> bool:
     """Whether two accesses of one object induce a precedence edge:
     reads commute with reads, blind increments with increments."""
@@ -912,6 +1031,39 @@ def _permanent(nested: Dict[Path, str], memo: Dict[Path, bool],
             and _permanent(nested, memo, owner[:-1])
         )
     return known
+
+
+def _reentered(walk: Sequence[Path]) -> Set[Path]:
+    """The families a committed top's permanent accesses may make cyclic.
+
+    ``walk`` names the owner of each run of permanent accesses, in seq
+    order.  A family can close a cycle only if one of its children is
+    *re-entered* — left for an access outside it, then resumed.  The
+    walk records the subtrees it has left; resuming one marks its parent
+    suspect.  Resuming a whole subtree also marks families inside it
+    whose own runs may be contiguous: a false alarm costs a search,
+    never a verdict.
+
+    When no owner is deeper than the top's children, the only subtrees
+    the walk can leave are the owners themselves, so unless one repeats
+    none was resumed (the shape of every spine program)."""
+    if len(set(walk)) == len(walk) and all(len(owner) <= 2 for owner in walk):
+        return set()
+    closed: Set[Path] = set()
+    suspects: Set[Path] = set()
+    walked: Optional[Path] = None
+    for owner in walk:
+        if owner == walked:
+            continue
+        if walked is not None:
+            shared = _shared_prefix(walked, owner)
+            for end in range(shared + 1, len(walked) + 1):
+                closed.add(walked[:end])
+            for end in range(shared + 1, len(owner) + 1):
+                if owner[:end] in closed:
+                    suspects.add(owner[:end - 1])
+        walked = owner
+    return suspects
 
 
 def _shared_prefix(first: Path, second: Path) -> int:

@@ -191,22 +191,39 @@ class RetirementClock:
         self.retired = 0
 
     def begin(self, key: object, seq: int) -> None:
+        self._advance_begin(seq)
+        self._begin_seq.pop(key, None)  # a re-registered key moves to the end
+        self._begin_seq[key] = seq
+
+    def resolve(self, key: object, seq: int) -> None:
+        self._advance_resolve(seq)
+        self._begin_seq.pop(key, None)
+        self._pending.append((seq, key))
+
+    def retire_alone(self, begin: int, resolve: int) -> None:
+        """``begin``, ``resolve`` and ``retire_ready`` for a transaction
+        that began and resolved while no other was live: nothing can
+        hold the watermark below its resolve seq, so it retires at once,
+        and no key is kept for it."""
+        if self.live_count():
+            raise ValueError("a transaction is still live")
+        self._advance_begin(begin)
+        self._advance_resolve(resolve)
+        self.retired += 1
+
+    def _advance_begin(self, seq: int) -> None:
         if self._last_begin is not None and seq <= self._last_begin:
             raise ValueError(
                 "begin seq %r does not follow %r" % (seq, self._last_begin)
             )
         self._last_begin = seq
-        self._begin_seq.pop(key, None)  # a re-registered key moves to the end
-        self._begin_seq[key] = seq
 
-    def resolve(self, key: object, seq: int) -> None:
+    def _advance_resolve(self, seq: int) -> None:
         if self._last_resolve is not None and seq < self._last_resolve:
             raise ValueError(
                 "resolve seq %r precedes %r" % (seq, self._last_resolve)
             )
         self._last_resolve = seq
-        self._begin_seq.pop(key, None)
-        self._pending.append((seq, key))
 
     @property
     def watermark(self) -> Optional[int]:

@@ -486,6 +486,48 @@ class TestBoundedWindow:
         assert survivors == {"_Access": 0, "_TopTxn": 0}
         db.assert_certified()
 
+    def test_general_path_windows_are_freed_by_reference_count(self):
+        """The same property where the window is used: a one-client
+        engine's families are certified in one pass and build no window
+        at all, so here the records of 500 such programs are fed one by
+        one through ``feed``, which queues every access, drains and
+        retires it."""
+        from repro.checker import streaming
+
+        names = ["o%d" % i for i in range(64)]
+        db = NestedTransactionDB(
+            dict.fromkeys(names, 1000), config=EngineConfig(record_trace=True)
+        )
+        rng = random.Random(3)
+        for _ in range(500):
+            top = db.begin_transaction()
+            for _ in range(4):
+                read_obj, src, dst = rng.sample(names, 3)
+                child = top.begin_subtransaction()
+                child.read(read_obj)
+                child.write(src, child.read_for_update(src) - 1)
+                child.write(dst, child.read_for_update(dst) + 1)
+                child.commit()
+            top.commit()
+        records = db.trace.records
+        certifier = StreamingCertifier(db.initial_values)
+        gc.collect()
+        gc.disable()
+        try:
+            for record in records:
+                certifier.feed(record)
+            stats = certifier.report().stats
+            survivors = sum(
+                type(obj) in (streaming._Access, streaming._TopTxn)
+                for obj in gc.get_objects()
+            )
+        finally:
+            gc.enable()
+        assert stats["retired_tops"] == 500 and stats["live_tops"] == 0
+        assert stats["max_applied_accesses"] == 20
+        assert survivors == 0
+        assert certifier.finish().ok
+
 
 # ---------------------------------------------------------------------------
 # Out-of-order publication tolerance
@@ -690,23 +732,54 @@ class TestLiveEngineWiring:
             db.assert_certified()
         assert not db.certifier.ok
 
-    def test_assert_certified_fails_after_a_listener_raised(self):
+    def test_assert_certified_fails_after_a_listener_raised(self, monkeypatch):
         """A listener that raised saw only part of the stream; before the
-        fix the certifier's silence still read as "certified"."""
+        fix the certifier's silence still read as "certified".  The fault
+        is injected at the entry the recorder calls: a top-level that
+        finishes alone is certified without ``_ingest``."""
+        boom = RuntimeError("certifier bug")
+        real_feed_rows = StreamingCertifier.feed_rows
+        calls = itertools.count()
+
+        def flaky(certifier, rows):
+            if next(calls) == 0:
+                raise boom
+            real_feed_rows(certifier, rows)
+
+        # Patched on the class before the engine subscribes its
+        # certifier, so the bound method the recorder holds is this one.
+        monkeypatch.setattr(StreamingCertifier, "feed_rows", flaky)
+        db = NestedTransactionDB(initial_values(4), config=EngineConfig(certify="streaming"))
+        with db.transaction() as txn:
+            txn.write("obj0000", 1)
+            txn.write("obj0001", 2)
+        assert db.certifier.ok  # no violation was ever flagged
+        assert db.trace.listener_errors == 1
+        with pytest.raises(StreamingViolation, match="listener") as caught:
+            db.assert_certified()
+        assert caught.value.__cause__ is boom
+
+    def test_assert_certified_fails_after_ingest_raised_on_overlapping_tops(self):
+        """The same guard on the general path: two overlapping top-levels
+        are merged by the reorder window and ingested row by row, and the
+        third row raises."""
         db = NestedTransactionDB(initial_values(4), config=EngineConfig(certify="streaming"))
         boom = RuntimeError("certifier bug")
         real_ingest = db.certifier._ingest
         calls = itertools.count()
 
-        def flaky(record):
+        def flaky(row):
             if next(calls) == 2:
                 raise boom
-            real_ingest(record)
+            real_ingest(row)
 
         db.certifier._ingest = flaky
-        with db.transaction() as txn:
-            txn.write("obj0000", 1)
-            txn.write("obj0001", 2)
+        first, second = db.begin_transaction_batch(2)
+        first.write("obj0000", 1)
+        second.write("obj0001", 2)
+        second.commit()  # held behind the first's rows
+        first.commit()
+        assert next(calls) == 3  # the third row raised and ended the pass
         assert db.certifier.ok  # no violation was ever flagged
         assert db.trace.listener_errors == 1
         with pytest.raises(StreamingViolation, match="listener") as caught:
