@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """CI crash-recovery smoke: kill durable workers, recover, write a report.
 
-Runs the crash-restart harness (``repro.durability.crashtest``) across a
-small matrix of sync and checkpoint policies, collects each scenario's
-:class:`CrashReport`, and writes the whole batch as JSON (default
+Runs the kill-and-recover harness (``repro.durability.crashtest``) over a
+small matrix: the counter workload under each sync and checkpoint
+policy, plus the bank scenario.  It collects each run's
+:class:`CrashReport` and writes the whole batch as JSON (default
 ``crash_recovery_report.json``, override with ``--out``) so CI can upload
-it as an artifact.  Exits nonzero when any scenario violates the
-durability contract — the JSON then names the failed invariants.
+it as an artifact.  Exits nonzero when any run violates the durability
+contract — the JSON then names the failed verdicts.
 
 Usage:
     PYTHONPATH=src python scripts/crash_recovery_smoke.py [--out PATH]
@@ -24,12 +25,14 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from repro.durability.crashtest import run_crash_recovery_scenario  # noqa: E402
+from repro.durability.crashtest import run_crash  # noqa: E402
 
-SCENARIOS = [
-    {"sync": "commit", "seed": 11},
-    {"sync": "group", "seed": 13},
-    {"sync": "commit", "seed": 14, "checkpoint_interval": 20, "min_acks": 60},
+MATRIX = [
+    {"workload": "counters", "sync": "commit", "seed": 11},
+    {"workload": "counters", "sync": "group", "seed": 13},
+    {"workload": "counters", "sync": "commit", "seed": 14,
+     "checkpoint_interval": 20, "min_acks": 60},
+    {"workload": "bank", "sync": "commit", "seed": 15},
 ]
 
 
@@ -41,13 +44,13 @@ def main(argv=None):
         "--certify",
         choices=("streaming",),
         default=None,
-        help="subscribe the incremental certifier to each scenario's "
+        help="subscribe the incremental certifier to each run's "
         "post-recovery trace; its verdict must be clean",
     )
     parser.add_argument(
         "--trace-dir",
         default=None,
-        help="archive each scenario's post-recovery trace (JSONL plus "
+        help="archive each run's post-recovery trace (JSONL plus "
         "<name>.initial.json) here for offline re-certification via "
         "scripts/certify_stream.py",
     )
@@ -58,8 +61,8 @@ def main(argv=None):
 
     results = []
     failed = 0
-    for index, scenario in enumerate(SCENARIOS):
-        params = dict(scenario)
+    for index, run in enumerate(MATRIX):
+        params = dict(run)
         params.setdefault("min_acks", args.min_acks)
         params.setdefault("certify", args.certify)
         if args.trace_dir:
@@ -67,29 +70,31 @@ def main(argv=None):
                 "trace_dump",
                 os.path.join(
                     args.trace_dir,
-                    "scenario%d_%s.trace.jsonl" % (index, scenario["sync"]),
+                    "run%d_%s_%s.trace.jsonl"
+                    % (index, run["workload"], run["sync"]),
                 ),
             )
         with tempfile.TemporaryDirectory(prefix="crash-smoke-") as directory:
             start = time.monotonic()
             try:
-                report = run_crash_recovery_scenario(directory, **params)
-                entry = report.as_dict()
+                entry = run_crash(directory, **params).as_dict()
             except RuntimeError as error:  # harness problem, not a verdict
                 entry = {"ok": False, "failures": ["harness: %s" % error]}
-                entry["sync"] = params["sync"]
-            entry["scenario"] = scenario
+                entry.update(workload=run["workload"], sync=run["sync"])
+            entry["run"] = run
             entry["seconds"] = round(time.monotonic() - start, 3)
         results.append(entry)
         status = "ok" if entry["ok"] else "FAIL"
         print(
-            "[%s] sync=%-6s acked=%s recovered=%s replayed=%s "
+            "[%s] %-8s sync=%-6s acked=%s units=%s/%s replayed=%s "
             "ckpt=%s (%.1fs)"
             % (
                 status,
+                entry.get("workload"),
                 entry.get("sync"),
-                entry.get("acked_commits", "?"),
-                entry.get("recovered_total", "?"),
+                entry.get("acked_programs", "?"),
+                entry.get("recovered_units", "?"),
+                entry.get("acked_units", "?"),
                 entry.get("commits_replayed", "?"),
                 entry.get("checkpoint_seq", "?"),
                 entry["seconds"],
@@ -100,11 +105,11 @@ def main(argv=None):
             for failure in entry["failures"]:
                 print("    - %s" % failure)
 
-    batch = {"ok": failed == 0, "scenarios": results}
+    batch = {"ok": failed == 0, "runs": results}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(batch, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print("report: %s (%d/%d scenarios passed)"
+    print("report: %s (%d/%d runs passed)"
           % (args.out, len(results) - failed, len(results)))
     return 1 if failed else 0
 

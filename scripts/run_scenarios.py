@@ -32,12 +32,12 @@ sys.path.insert(
 )
 
 from repro.cli import EXIT_OK, EXIT_VERDICT_FAIL  # noqa: E402
+from repro.durability.crashtest import run_crash  # noqa: E402
 from repro.scenarios import (  # noqa: E402
     SCENARIOS,
     ChaosSchedule,
     run_fsync_poison_scenario,
     run_scenario,
-    run_scenario_crash,
 )
 
 
@@ -145,7 +145,7 @@ def main(argv=None):
         if args.crash:
             with tempfile.TemporaryDirectory(prefix="scn-crash-") as directory:
                 try:
-                    crash = run_scenario_crash(
+                    crash = run_crash(
                         directory,
                         name,
                         programs=min(args.programs, 40),
@@ -160,12 +160,13 @@ def main(argv=None):
                     entry["crash"] = {"ok": False, "failures": [str(error)]}
                     crash_ok, detail = False, str(error)
             print(
-                "[%s] %-12s crash: acked=%s ledger=%s deterministic=%s%s"
+                "[%s] %-12s crash: acked=%s units=%s/%s deterministic=%s%s"
                 % (
                     "ok" if crash_ok else "FAIL",
                     name,
                     entry["crash"].get("acked_programs", "?"),
-                    entry["crash"].get("ledger_value", "?"),
+                    entry["crash"].get("recovered_units", "?"),
+                    entry["crash"].get("acked_units", "?"),
                     entry["crash"].get("deterministic", "?"),
                     (" (%s)" % detail) if detail else "",
                 )

@@ -27,7 +27,6 @@ from .apps import (
     build_social,
 )
 from .chaos import ChaosPhase, ChaosSchedule, with_hot_keys
-from .crash import ScenarioCrashReport, run_scenario_crash
 from .runner import (
     ScenarioResult,
     run_compiled,
@@ -40,7 +39,6 @@ __all__ = [
     "ChaosPhase",
     "ChaosSchedule",
     "SCENARIOS",
-    "ScenarioCrashReport",
     "ScenarioResult",
     "ScenarioRun",
     "build_bank",
@@ -50,6 +48,5 @@ __all__ = [
     "run_compiled",
     "run_fsync_poison_scenario",
     "run_scenario",
-    "run_scenario_crash",
     "with_hot_keys",
 ]

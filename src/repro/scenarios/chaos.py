@@ -15,7 +15,7 @@ machinery:
   scheduled one-shot failure, driving the WAL's fsyncgate poisoning path
   (``WalSyncError``) under real workload;
 * the **SIGKILL crash harness** composes at the next layer up — see
-  :mod:`repro.scenarios.crash`.
+  :mod:`repro.durability.crashtest`.
 
 Construction helpers cover the common shapes::
 

@@ -125,9 +125,7 @@ def run_compiled(
     max_retries: int = 200,
     durability: Optional[Any] = None,
 ) -> ScenarioResult:
-    """Run an already-compiled :class:`ScenarioRun` (the scenario crash
-    harness compiles its own so the worker and the verifier agree on the
-    program list)."""
+    """Run an already-compiled :class:`ScenarioRun`."""
     firing_factory = None
     chaos_summary: Dict[str, Any] = {}
     if chaos is not None:

@@ -201,6 +201,18 @@ def _run_block(txn, block: Block, firing: Firing, counters: _Counters) -> int:
     return done
 
 
+def run_block(txn, block: Block, firing: Firing) -> int:
+    """Interpret one program tree in ``txn`` outside :func:`execute`.
+
+    The same interpreter, with the same containment and child retries,
+    for a caller that owns its own top-level loop (the crash harness's
+    worker runs it inside ``db.run_transaction``).  Returns ops
+    completed; raises InjectedFailure when the root's failure point
+    fires.
+    """
+    return _run_block(txn, block, firing, _Counters())
+
+
 def _run_child_block(
     txn, child: Block, firing: Firing, counters: _Counters, retries: int = 2
 ) -> int:

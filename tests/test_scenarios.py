@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.durability.crashtest import run_crash
 from repro.scenarios import (
     SCENARIOS,
     ApproxZipf,
@@ -23,7 +24,6 @@ from repro.scenarios import (
     build_scenario,
     run_fsync_poison_scenario,
     run_scenario,
-    run_scenario_crash,
 )
 from repro.scenarios.chaos import ChaosPhase, with_hot_keys
 from repro.workload.executor import all_failure_points
@@ -248,7 +248,7 @@ class TestFsyncPoisonScenario:
 class TestScenarioCrash:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_kill_recover_judge(self, name, tmp_path):
-        report = run_scenario_crash(
+        report = run_crash(
             str(tmp_path),
             name,
             programs=30,
@@ -256,10 +256,14 @@ class TestScenarioCrash:
             seed=6,
             threads=2,
             min_acks=8,
-            post_slice=4,
+            post=4,
         )
         assert report.ok, report.failures
+        assert report.workload == name
         assert report.deterministic
         assert report.invariant_ok
         assert report.acked_programs >= 8
-        assert report.post_certified is True
+        assert report.recovered_units >= report.acked_units > 0
+        assert report.post_committed == 4
+        assert report.oracle_ok
+        assert report.streaming_ok is True
